@@ -12,29 +12,10 @@
 use std::time::Instant;
 
 use mpca_bench::{all_experiments, Table};
-
-/// Escapes a string for inclusion in a JSON document.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+use mpca_metrics::json::escape;
 
 fn json_string_array(items: &[String]) -> String {
-    let cells: Vec<String> = items
-        .iter()
-        .map(|c| format!("\"{}\"", json_escape(c)))
-        .collect();
+    let cells: Vec<String> = items.iter().map(|c| format!("\"{}\"", escape(c))).collect();
     format!("[{}]", cells.join(","))
 }
 
@@ -54,8 +35,8 @@ impl Record {
             .collect();
         format!(
             "{{\"id\":\"{}\",\"caption\":\"{}\",\"wall_ms\":{},\"headers\":{},\"rows\":[{}]}}",
-            json_escape(&self.table.id),
-            json_escape(&self.table.caption),
+            escape(&self.table.id),
+            escape(&self.table.caption),
             self.wall_ms,
             json_string_array(&self.table.headers),
             rows.join(","),
@@ -89,7 +70,7 @@ fn write_json(path: &str, records: &[Record]) {
         "{{\"schema\":\"mpc-aborts/bench-results/v1\",\
          \"meta\":{{\"git_rev\":\"{}\",\"build_profile\":\"{}\"}},\
          \"total_wall_ms\":{},\"experiments\":[{}]}}\n",
-        json_escape(&git_rev()),
+        escape(&git_rev()),
         build_profile,
         total_wall,
         body.join(","),

@@ -29,6 +29,8 @@
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
+use mpca_metrics::json::Json;
+
 use crate::params::ProtocolParams;
 
 /// Multiplicative headroom the budget curves grant over the golden-measured
@@ -494,26 +496,31 @@ fn curves() -> &'static BTreeMap<ProtocolKind, BudgetCurve> {
     })
 }
 
-/// Parses the golden fixture. The format is the line-oriented JSON the
-/// bless test renders — one `points` entry per line — scanned with the
-/// shared [`mpca_wire::linejson`] helpers; unknown protocols are skipped
-/// for forward compatibility.
+/// Parses the golden fixture with [`mpca_metrics::json`]. Points of
+/// unknown protocols are skipped for forward compatibility; an unparseable
+/// document yields no curves, so the legacy constants apply.
 fn parse_curves(text: &str) -> BTreeMap<ProtocolKind, BudgetCurve> {
-    use mpca_wire::linejson::{field_str, field_u64};
     let mut map: BTreeMap<ProtocolKind, BudgetCurve> = BTreeMap::new();
-    for line in text.lines() {
-        let Some(name) = field_str(line, "protocol") else {
+    let doc = Json::parse(text).unwrap_or(Json::Null);
+    for point in doc
+        .get("points")
+        .and_then(Json::as_array)
+        .unwrap_or_default()
+    {
+        let Some(kind) = point
+            .get("protocol")
+            .and_then(Json::as_str)
+            .and_then(ProtocolKind::from_name)
+        else {
             continue;
         };
-        let Some(kind) = ProtocolKind::from_name(&name) else {
-            continue;
-        };
+        let field = |key: &str| point.get(key).and_then(Json::as_u64);
         let (Some(n), Some(h), Some(payload), Some(bits), Some(locality)) = (
-            field_u64(line, "n"),
-            field_u64(line, "h"),
-            field_u64(line, "payload_bytes"),
-            field_u64(line, "honest_bits"),
-            field_u64(line, "max_locality"),
+            field("n"),
+            field("h"),
+            field("payload_bytes"),
+            field("honest_bits"),
+            field("max_locality"),
         ) else {
             continue;
         };
@@ -627,7 +634,7 @@ mod tests {
     #[test]
     fn curves_parse_and_budget_from_golden_points() {
         let fixture = concat!(
-            "{\"schema\":\"mpc-aborts/comm-budget-curves/v1\",\n",
+            "{\"schema\":\"mpc-aborts/comm-budget-curves/v1\",\"points\":[\n",
             "{\"protocol\":\"unchecked-sum\",\"n\":8,\"h\":6,\"payload_bytes\":8,",
             "\"honest_bits\":4000,\"max_locality\":7},\n",
             "{\"protocol\":\"thm1-mpc\",\"n\":8,\"h\":4,\"payload_bytes\":2,",
@@ -636,9 +643,14 @@ mod tests {
             "\"honest_bits\":200000,\"max_locality\":15},\n",
             "{\"protocol\":\"not-a-protocol\",\"n\":8,\"h\":6,\"payload_bytes\":8,",
             "\"honest_bits\":1,\"max_locality\":1}\n",
+            "]}\n",
         );
         let curves = parse_curves(fixture);
         assert_eq!(curves.len(), 2, "unknown protocols are skipped");
+        assert!(
+            parse_curves(fixture.trim_end().trim_end_matches('}')).is_empty(),
+            "an unparseable document gives no curves"
+        );
 
         // h-insensitive: exact per-point budget is slack × measured, however
         // h is spelled; off-grid n gets the fitted-envelope verdict. With a
@@ -702,7 +714,7 @@ mod tests {
                 )
             })
             .collect();
-        let curves = parse_curves(&lines.join("\n"));
+        let curves = parse_curves(&format!("{{\"points\":[{}]}}", lines.join(",\n")));
         let curve = &curves[&kind];
         let k = curve.fitted_log_exponent();
         assert!((k - 1.0).abs() < 0.05, "fitted k = {k}, expected ≈ 1");
@@ -717,10 +729,11 @@ mod tests {
         );
         // And a constant-only grid (k = 0) stays a pure shape fit.
         let flat = parse_curves(
-            "{\"protocol\":\"unchecked-sum\",\"n\":8,\"h\":6,\"payload_bytes\":8,\
-             \"honest_bits\":4000,\"max_locality\":7}\n\
+            "{\"points\":[\
+             {\"protocol\":\"unchecked-sum\",\"n\":8,\"h\":6,\"payload_bytes\":8,\
+             \"honest_bits\":4000,\"max_locality\":7},\
              {\"protocol\":\"unchecked-sum\",\"n\":16,\"h\":14,\"payload_bytes\":8,\
-             \"honest_bits\":16000,\"max_locality\":15}",
+             \"honest_bits\":16000,\"max_locality\":15}]}",
         );
         let flat_k = flat[&kind].fitted_log_exponent();
         assert!(

@@ -55,15 +55,26 @@ impl Sha256 {
         }
     }
 
-    /// Absorbs `data` into the hash state.
-    pub fn update(&mut self, data: &[u8]) {
+    /// Absorbs `data` into the hash state. Full blocks are compressed
+    /// straight from `data`; only a tail shorter than a block is buffered.
+    pub fn update(&mut self, mut data: &[u8]) {
         self.length = self.length.wrapping_add(data.len() as u64);
-        self.buffer.extend_from_slice(data);
-        while self.buffer.len() >= 64 {
-            let block: [u8; 64] = self.buffer[..64].try_into().expect("exact block");
+        if !self.buffer.is_empty() {
+            let take = (64 - self.buffer.len()).min(data.len());
+            self.buffer.extend_from_slice(&data[..take]);
+            data = &data[take..];
+            if self.buffer.len() < 64 {
+                return;
+            }
+            let block: [u8; 64] = self.buffer[..].try_into().expect("exact block");
             Self::compress(&mut self.state, &block);
-            self.buffer.drain(..64);
+            self.buffer.clear();
         }
+        let mut blocks = data.chunks_exact(64);
+        for block in &mut blocks {
+            Self::compress(&mut self.state, block.try_into().expect("exact block"));
+        }
+        self.buffer.extend_from_slice(blocks.remainder());
     }
 
     /// Completes the hash and returns the 32-byte digest.
@@ -212,6 +223,13 @@ mod tests {
             h.update(&data[..split.min(data.len())]);
             h.update(&data[split.min(data.len())..]);
             assert_eq!(h.finalize(), sha256(&data), "split at {split}");
+        }
+        for chunk in [1, 7, 63, 64, 65, 129] {
+            let mut h = Sha256::new();
+            for piece in data.chunks(chunk) {
+                h.update(piece);
+            }
+            assert_eq!(h.finalize(), sha256(&data), "chunks of {chunk}");
         }
     }
 

@@ -9,6 +9,7 @@
 
 use std::fmt::Write as _;
 
+use crate::json::{escape, Json};
 use crate::registry::{Histogram, Registry, HISTOGRAM_BUCKETS};
 
 /// The snapshot JSON schema identifier.
@@ -125,49 +126,41 @@ impl Snapshot {
     /// Returns `None` on malformed input or a wrong schema identifier —
     /// the round-trip contract the schema-fixture test enforces.
     pub fn from_json(text: &str) -> Option<Snapshot> {
-        let mut p = Parser::new(text);
-        p.expect('{')?;
-        let mut schema_ok = false;
-        let mut snapshot = Snapshot::default();
-        loop {
-            let key = p.string()?;
-            p.expect(':')?;
-            match key.as_str() {
-                "schema" => schema_ok = p.string()? == METRICS_SCHEMA,
-                "counters" => {
-                    for obj in p.array_of_objects()? {
-                        let name = obj.field_string("name")?;
-                        let value = obj.field_u64("value")?;
-                        snapshot.counters.push((name, value));
-                    }
-                }
-                "histograms" => {
-                    for obj in p.array_of_objects()? {
-                        let name = obj.field_string("name")?;
-                        let count = obj.field_u64("count")?;
-                        let sum = obj.field_u64("sum")?;
-                        let buckets = obj.field_pairs("buckets")?;
-                        snapshot.histograms.push((
-                            name,
-                            HistogramSnapshot {
-                                count,
-                                sum,
-                                buckets,
-                            },
-                        ));
-                    }
-                }
-                _ => return None,
-            }
-            if !p.comma_or_close('}')? {
-                break;
-            }
+        let doc = Json::parse(text).ok()?;
+        if doc.get("schema")?.as_str()? != METRICS_SCHEMA {
+            return None;
         }
-        if schema_ok {
-            Some(snapshot)
-        } else {
-            None
-        }
+        let entries = |key: &str| doc.get(key).and_then(Json::as_array);
+        let name = |entry: &Json| Some(entry.get("name")?.as_str()?.to_string());
+        let u64_of = |entry: &Json, key: &str| entry.get(key)?.as_u64();
+        let counters = entries("counters")?
+            .iter()
+            .map(|c| Some((name(c)?, u64_of(c, "value")?)))
+            .collect::<Option<_>>()?;
+        let histograms = entries("histograms")?
+            .iter()
+            .map(|h| {
+                let buckets = h
+                    .get("buckets")?
+                    .as_array()?
+                    .iter()
+                    .map(|pair| match pair.as_array()? {
+                        [bound, count] => Some((bound.as_u64()?, count.as_u64()?)),
+                        _ => None,
+                    })
+                    .collect::<Option<_>>()?;
+                let snapshot = HistogramSnapshot {
+                    count: u64_of(h, "count")?,
+                    sum: u64_of(h, "sum")?,
+                    buckets,
+                };
+                Some((name(h)?, snapshot))
+            })
+            .collect::<Option<_>>()?;
+        Some(Snapshot {
+            counters,
+            histograms,
+        })
     }
 
     /// Renders the Prometheus text exposition format (counters as
@@ -196,196 +189,10 @@ impl Snapshot {
     }
 }
 
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 fn prom_name(name: &str) -> String {
     name.chars()
         .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
         .collect()
-}
-
-/// A parsed `{...}` object: its string and number fields, plus
-/// `[[a, b], ...]` pair-array fields. Only the shapes the snapshot
-/// format uses.
-struct ParsedObject {
-    strings: Vec<(String, String)>,
-    numbers: Vec<(String, u64)>,
-    pairs: Vec<(String, Vec<(u64, u64)>)>,
-}
-
-impl ParsedObject {
-    fn field_string(&self, key: &str) -> Option<String> {
-        self.strings
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.clone())
-    }
-
-    fn field_u64(&self, key: &str) -> Option<u64> {
-        self.numbers.iter().find(|(k, _)| k == key).map(|(_, v)| *v)
-    }
-
-    fn field_pairs(&self, key: &str) -> Option<Vec<(u64, u64)>> {
-        self.pairs
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.clone())
-    }
-}
-
-/// A minimal recursive-descent parser for exactly the snapshot JSON
-/// subset: objects of string/number/pair-array fields. No dependencies,
-/// no general JSON.
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Self {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, c: char) -> Option<()> {
-        if self.peek()? == c as u8 {
-            self.pos += 1;
-            Some(())
-        } else {
-            None
-        }
-    }
-
-    /// After a value: consumes `,` (returns `true`) or `close`
-    /// (returns `false`).
-    fn comma_or_close(&mut self, close: char) -> Option<bool> {
-        match self.peek()? {
-            b',' => {
-                self.pos += 1;
-                Some(true)
-            }
-            b if b == close as u8 => {
-                self.pos += 1;
-                Some(false)
-            }
-            _ => None,
-        }
-    }
-
-    fn string(&mut self) -> Option<String> {
-        self.expect('"')?;
-        let mut out = String::new();
-        loop {
-            let b = *self.bytes.get(self.pos)?;
-            self.pos += 1;
-            match b {
-                b'"' => return Some(out),
-                b'\\' => {
-                    let esc = *self.bytes.get(self.pos)?;
-                    self.pos += 1;
-                    out.push(esc as char);
-                }
-                _ => out.push(b as char),
-            }
-        }
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        self.skip_ws();
-        let start = self.pos;
-        while self.bytes.get(self.pos).is_some_and(|b| b.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        if self.pos == start {
-            return None;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()?
-            .parse()
-            .ok()
-    }
-
-    fn pair(&mut self) -> Option<(u64, u64)> {
-        self.expect('[')?;
-        let a = self.u64()?;
-        self.expect(',')?;
-        let b = self.u64()?;
-        self.expect(']')?;
-        Some((a, b))
-    }
-
-    fn object(&mut self) -> Option<ParsedObject> {
-        self.expect('{')?;
-        let mut obj = ParsedObject {
-            strings: Vec::new(),
-            numbers: Vec::new(),
-            pairs: Vec::new(),
-        };
-        if self.peek()? == b'}' {
-            self.pos += 1;
-            return Some(obj);
-        }
-        loop {
-            let key = self.string()?;
-            self.expect(':')?;
-            match self.peek()? {
-                b'"' => obj.strings.push((key, self.string()?)),
-                b'[' => {
-                    self.pos += 1;
-                    let mut pairs = Vec::new();
-                    if self.peek()? == b']' {
-                        self.pos += 1;
-                    } else {
-                        loop {
-                            pairs.push(self.pair()?);
-                            if !self.comma_or_close(']')? {
-                                break;
-                            }
-                        }
-                    }
-                    obj.pairs.push((key, pairs));
-                }
-                _ => obj.numbers.push((key, self.u64()?)),
-            }
-            if !self.comma_or_close('}')? {
-                return Some(obj);
-            }
-        }
-    }
-
-    fn array_of_objects(&mut self) -> Option<Vec<ParsedObject>> {
-        self.expect('[')?;
-        let mut out = Vec::new();
-        if self.peek()? == b']' {
-            self.pos += 1;
-            return Some(out);
-        }
-        loop {
-            out.push(self.object()?);
-            if !self.comma_or_close(']')? {
-                return Some(out);
-            }
-        }
-    }
 }
 
 #[cfg(test)]

@@ -22,6 +22,9 @@
 //!   `mpc-aborts/metrics/v1`) and Prometheus text
 //!   ([`Snapshot::to_prometheus`]).
 //!
+//! It also hosts the workspace's one JSON parser and string escaper
+//! ([`json`]), which every JSON artefact reader and writer uses.
+//!
 //! The crate is a dependency leaf (std only) so `mpca-net`, `mpca-core`,
 //! `mpca-trace`, `mpca-engine` and `mpca-scenario` can all share the same
 //! phase vocabulary without cycles.
@@ -30,6 +33,7 @@
 #![deny(missing_docs)]
 
 mod expose;
+pub mod json;
 mod phase;
 mod registry;
 

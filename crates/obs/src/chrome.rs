@@ -14,6 +14,7 @@
 //! *order* and *relative extent* without pretending to per-round timers.
 
 use mpca_engine::SessionReport;
+use mpca_metrics::json::escape;
 use mpca_metrics::Phase;
 use mpca_net::MilestoneKind;
 
@@ -146,28 +147,11 @@ impl ChromeTrace {
     }
 }
 
-/// Escapes a string for a JSON string literal.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sentinel::Json;
     use mpca_engine::{Sequential, SessionTask};
+    use mpca_metrics::json::Json;
     use mpca_net::{Envelope, Milestone, PartyCtx, PartyId, PartyLogic, Simulator, Step};
     use std::time::Duration;
 

@@ -12,247 +12,15 @@
 //!
 //! This replaces the ad-hoc inline python gates CI used to carry for E18
 //! (metrics overhead) and E19 (hot-path wall): one auditable tool, one
-//! auditable baseline file.
+//! auditable baseline file. Both documents are read with the workspace
+//! JSON parser, [`mpca_metrics::json`].
 
 /// Schema tag the baseline document must carry.
 pub const BASELINE_SCHEMA: &str = "mpc-aborts/bench-baseline/v1";
 
-/// A minimal JSON value — `BENCH_results.json` is nested (objects holding
-/// arrays of row arrays), which is beyond the line-oriented reader in
-/// `mpca-wire`, and the workspace is offline: no serde. Hand-rolled
-/// recursive descent, same spirit as the metrics snapshot parser.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any JSON number, held as `f64`.
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, insertion-ordered.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Parses a complete JSON document (trailing whitespace allowed).
-    pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = JsonParser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let value = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing bytes at offset {}", p.pos));
-        }
-        Ok(value)
-    }
-
-    /// Object field lookup.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The string payload, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The numeric payload, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The elements, if this is an array.
-    pub fn as_array(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> JsonParser<'a> {
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, byte: u8) -> Result<(), String> {
-        if self.peek() == Some(byte) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected {:?} at offset {}",
-                byte as char, self.pos
-            ))
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(format!("bad literal at offset {}", self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(_) => self.number(),
-            None => Err("unexpected end of input".into()),
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let value = self.value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(format!("expected ',' or '}}' at offset {}", self.pos)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at offset {}", self.pos)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| "bad \\u escape".to_string())?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| "bad \\u escape".to_string())?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(format!("bad escape at offset {}", self.pos)),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so
-                    // multi-byte sequences are valid by construction).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                    let c = s.chars().next().expect("peeked non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| format!("bad number {text:?} at offset {start}"))
-    }
-}
+/// The workspace JSON value, re-exported for callers that reach it
+/// through the sentinel.
+pub use mpca_metrics::json::Json;
 
 /// The outcome of one baseline check.
 #[derive(Debug, Clone)]
@@ -507,34 +275,5 @@ mod tests {
         assert_eq!(leading_number("1.23"), Some(1.23));
         assert_eq!(leading_number("flagged"), None);
         assert_eq!(leading_number(""), None);
-    }
-
-    #[test]
-    fn json_parser_round_trips_the_shapes_bench_emits() {
-        let doc = Json::parse(&results_doc(1.0, 2.0)).unwrap();
-        assert_eq!(
-            doc.get("schema").and_then(Json::as_str),
-            Some("mpc-aborts/bench-results/v1")
-        );
-        assert_eq!(
-            doc.get("meta")
-                .and_then(|m| m.get("build_profile"))
-                .and_then(Json::as_str),
-            Some("release")
-        );
-        let experiments = doc.get("experiments").and_then(Json::as_array).unwrap();
-        assert_eq!(experiments.len(), 2);
-        // Escapes and unicode in strings.
-        let tricky = Json::parse(r#"{"a": "q\"\\\nAé", "b": [1e3, -2.5, null, true]}"#).unwrap();
-        assert_eq!(tricky.get("a").and_then(Json::as_str), Some("q\"\\\nAé"));
-        let b = tricky.get("b").and_then(Json::as_array).unwrap();
-        assert_eq!(b[0].as_f64(), Some(1000.0));
-        assert_eq!(b[1].as_f64(), Some(-2.5));
-        assert_eq!(b[2], Json::Null);
-        assert_eq!(b[3], Json::Bool(true));
-        // Structural errors surface.
-        assert!(Json::parse("[1, 2").is_err());
-        assert!(Json::parse("{\"a\" 1}").is_err());
-        assert!(Json::parse("[] trailing").is_err());
     }
 }

@@ -15,6 +15,7 @@ use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use mpca_engine::{ExecutionBackend, SessionReport, SessionTask};
+use mpca_metrics::json::escape;
 
 use crate::chrome::ChromeTrace;
 
@@ -450,7 +451,7 @@ impl SoakReport {
             self.config.workers,
             self.config.seed,
             self.config.window.as_secs_f64(),
-            self.backend,
+            escape(self.backend),
         ));
         out.push_str(&format!(
             "  \"totals\": {{\"elapsed_s\": {:.3}, \"arrivals\": {}, \"admitted\": {}, \

@@ -1,11 +1,13 @@
 //! Shrunk search counterexamples as **permanent regression artefacts**.
 //!
 //! `campaign --search` shrinks every novel predicate violation it finds to
-//! a minimal [`Scenario`] and writes it as a counterexample file — one
-//! line-oriented JSON document (schema `mpc-aborts/counterexample/v1`)
-//! holding the scenario identity (protocol, grid point, seed, the
-//! [`codec`](crate::codec)-encoded adversary) and the expected outcome
-//! (trace digest, violated predicate names, first-violation span).
+//! a minimal [`Scenario`] and writes it as a counterexample file — three
+//! JSON lines (schema `mpc-aborts/counterexample/v1`) holding the scenario
+//! identity (protocol, grid point, seed, the [`codec`](crate::codec)-encoded
+//! adversary) and the expected outcome (trace digest, violated predicate
+//! names, first-violation span). Each line is parsed with
+//! [`mpca_metrics::json`], and every string field is written through its
+//! [`escape`].
 //!
 //! [`Counterexample::replay`] re-executes the scenario from scratch on any
 //! backend and fails on any divergence, so checked-in counterexamples under
@@ -15,10 +17,10 @@
 
 use mpca_core::ProtocolKind;
 use mpca_engine::{ExecutionBackend, SessionPool, SessionReport};
+use mpca_metrics::json::{escape, Json};
 use mpca_net::NetError;
 use mpca_predicate::{eval_set, full_set, SetViolation};
 use mpca_trace::TaggedTrace;
-use mpca_wire::linejson::{escape_str, field_str, field_u64};
 
 use crate::codec::{encode_spec, parse_spec};
 use crate::plan::{Expectation, Scenario};
@@ -175,26 +177,26 @@ impl Counterexample {
         Ok(mismatches)
     }
 
-    /// Renders the line-oriented JSON document.
+    /// Renders the three JSON lines.
     pub fn render(&self) -> String {
         format!(
             "{{\"schema\":\"{CEX_SCHEMA}\",\"label\":\"{}\"}}\n\
              {{\"kind\":\"{}\",\"n\":{},\"h\":{},\"seed\":{},\"adversary\":\"{}\",\"charge\":{}}}\n\
              {{\"digest\":\"{}\",\"events\":{},\"violated\":\"{}\",\"span_start\":{},\
              \"span_end\":{},\"rig\":\"{}\"}}\n",
-            escape_str(&self.label),
+            escape(&self.label),
             self.kind.name(),
             self.n,
             self.h,
             self.seed,
-            escape_str(&encode_spec(&self.adversary)),
+            escape(&encode_spec(&self.adversary)),
             self.charge_adversary_bytes,
-            escape_str(&self.digest),
+            escape(&self.digest),
             self.events,
-            escape_str(&self.violated.join(",")),
+            escape(&self.violated.join(",")),
             self.span.0,
             self.span.1,
-            escape_str(self.rig.as_deref().unwrap_or("")),
+            escape(self.rig.as_deref().unwrap_or("")),
         )
     }
 
@@ -205,51 +207,57 @@ impl Counterexample {
     /// Returns a description of the first malformed line or field.
     pub fn parse(text: &str) -> Result<Self, String> {
         let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-        let header = lines.next().ok_or("empty counterexample file")?;
-        if field_str(header, "schema").as_deref() != Some(CEX_SCHEMA) {
+        let mut next_line = |what: &str| {
+            let line = lines.next().ok_or(format!("missing {what} line"))?;
+            Json::parse(line).map_err(|e| format!("{what} line: {e}"))
+        };
+        let header = next_line("header")?;
+        if header.get("schema").and_then(Json::as_str) != Some(CEX_SCHEMA) {
             return Err(format!(
                 "missing or unsupported schema header (want {CEX_SCHEMA})"
             ));
         }
-        let label = field_str(header, "label").ok_or("header missing 'label'")?;
-        let scenario = lines.next().ok_or("missing scenario line")?;
-        let kind_name = field_str(scenario, "kind").ok_or("scenario line missing 'kind'")?;
+        let scenario = next_line("scenario")?;
+        let result = next_line("result")?;
+        let text_of = |line: &Json, key: &str| {
+            line.get(key)
+                .and_then(Json::as_str)
+                .map(String::from)
+                .ok_or(format!("missing string '{key}'"))
+        };
+        let u64_of = |line: &Json, key: &str| {
+            line.get(key)
+                .and_then(Json::as_u64)
+                .ok_or(format!("missing integer '{key}'"))
+        };
+        let kind_name = text_of(&scenario, "kind")?;
         let kind = ProtocolKind::from_name(&kind_name)
             .ok_or_else(|| format!("unknown protocol kind '{kind_name}'"))?;
-        let n = field_u64(scenario, "n").ok_or("scenario line missing 'n'")? as usize;
-        let h = field_u64(scenario, "h").ok_or("scenario line missing 'h'")? as usize;
-        let seed = field_u64(scenario, "seed").ok_or("scenario line missing 'seed'")?;
-        let adversary_text =
-            field_str(scenario, "adversary").ok_or("scenario line missing 'adversary'")?;
-        let adversary = parse_spec(&adversary_text)?;
-        let charge = scenario.contains("\"charge\":true");
-        let result = lines.next().ok_or("missing result line")?;
-        let digest = field_str(result, "digest").ok_or("result line missing 'digest'")?;
-        let events = field_u64(result, "events").ok_or("result line missing 'events'")?;
-        let violated_text =
-            field_str(result, "violated").ok_or("result line missing 'violated'")?;
-        let violated = if violated_text.is_empty() {
-            Vec::new()
-        } else {
-            violated_text.split(',').map(str::to_string).collect()
-        };
-        let span_start =
-            field_u64(result, "span_start").ok_or("result line missing 'span_start'")?;
-        let span_end = field_u64(result, "span_end").ok_or("result line missing 'span_end'")?;
-        let rig = field_str(result, "rig").filter(|r| !r.is_empty());
+        let violated = text_of(&result, "violated")?
+            .split(',')
+            .filter(|name| !name.is_empty())
+            .map(String::from)
+            .collect();
         Ok(Self {
-            label,
+            label: text_of(&header, "label")?,
             kind,
-            n,
-            h,
-            seed,
-            adversary,
-            charge_adversary_bytes: charge,
+            n: u64_of(&scenario, "n")? as usize,
+            h: u64_of(&scenario, "h")? as usize,
+            seed: u64_of(&scenario, "seed")?,
+            adversary: parse_spec(&text_of(&scenario, "adversary")?)?,
+            charge_adversary_bytes: scenario
+                .get("charge")
+                .and_then(Json::as_bool)
+                .ok_or("missing boolean 'charge'")?,
             violated,
-            digest,
-            events,
-            span: (span_start, span_end),
-            rig,
+            digest: text_of(&result, "digest")?,
+            events: u64_of(&result, "events")?,
+            span: (u64_of(&result, "span_start")?, u64_of(&result, "span_end")?),
+            rig: result
+                .get("rig")
+                .and_then(Json::as_str)
+                .filter(|r| !r.is_empty())
+                .map(String::from),
         })
     }
 }
@@ -290,6 +298,16 @@ mod tests {
         unrigged.charge_adversary_bytes = true;
         let parsed = Counterexample::parse(&unrigged.render()).expect("parses");
         assert_eq!(parsed, unrigged);
+
+        for seed in [12_835_850_853_227_824_550, u64::MAX] {
+            let odd = Counterexample {
+                label: "tab\there µs \"q\"".into(),
+                seed,
+                violated: Vec::new(),
+                ..sample()
+            };
+            assert_eq!(Counterexample::parse(&odd.render()), Ok(odd));
+        }
     }
 
     #[test]

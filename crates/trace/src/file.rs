@@ -1,12 +1,12 @@
 //! The `campaign --record` / `--replay` artefact: per-scenario trace
 //! digests plus the campaign identity needed to re-execute the schedule.
 //!
-//! The format is the workspace's line-oriented JSON (one header line, one
-//! line per session), written and parsed with the shared
-//! [`mpca_wire::linejson`] scanners the golden fixtures use — diffable,
-//! greppable, stable.
+//! The format is JSON lines (one header object, then one object per
+//! session) — diffable, greppable, stable. Each line is parsed with
+//! [`mpca_metrics::json`], and every string field is written through its
+//! [`escape`].
 
-use mpca_wire::linejson::{escape_str, field_str, field_u64};
+use mpca_metrics::json::{escape, Json};
 
 use crate::summary::TraceSummary;
 
@@ -86,21 +86,21 @@ impl TraceFile {
         }
     }
 
-    /// Renders the line-oriented JSON document.
+    /// Renders the JSON lines.
     pub fn render(&self) -> String {
         let mut out = format!(
             "{{\"schema\":\"mpc-aborts/campaign-trace/v1\",\"campaign\":\"{}\",\
              \"seed\":{},\"backend\":\"{}\",\"sessions\":{}}}\n",
-            escape_str(&self.campaign),
+            escape(&self.campaign),
             self.seed,
-            escape_str(&self.backend),
+            escape(&self.backend),
             self.sessions.len(),
         );
         for record in &self.sessions {
             out.push_str(&format!(
                 "{{\"label\":\"{}\",\"digest\":\"{}\",\"events\":{},\"milestones\":{}}}\n",
-                escape_str(&record.label),
-                escape_str(&record.digest),
+                escape(&record.label),
+                escape(&record.digest),
                 record.events,
                 record.milestones,
             ));
@@ -115,24 +115,32 @@ impl TraceFile {
     /// Returns a description of the first malformed line.
     pub fn parse(text: &str) -> Result<Self, String> {
         let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-        let header = lines.next().ok_or("empty trace file")?;
-        if field_str(header, "schema").as_deref() != Some("mpc-aborts/campaign-trace/v1") {
+        let header = Json::parse(lines.next().ok_or("empty trace file")?)
+            .map_err(|e| format!("header: {e}"))?;
+        if header.get("schema").and_then(Json::as_str) != Some("mpc-aborts/campaign-trace/v1") {
             return Err("missing or unsupported schema header".into());
         }
-        let campaign = field_str(header, "campaign").ok_or("header lacks a campaign name")?;
-        let seed = field_u64(header, "seed").ok_or("header lacks a seed")?;
-        let backend = field_str(header, "backend").unwrap_or_else(|| "unknown".into());
+        let text_of =
+            |line: &Json, key: &str| line.get(key).and_then(Json::as_str).map(String::from);
+        let count_of = |line: &Json, key: &str| line.get(key).and_then(Json::as_u64).unwrap_or(0);
+        let campaign = text_of(&header, "campaign").ok_or("header lacks a campaign name")?;
+        let seed = header
+            .get("seed")
+            .and_then(Json::as_u64)
+            .ok_or("header lacks a seed")?;
+        let backend = text_of(&header, "backend").unwrap_or_else(|| "unknown".into());
         let mut sessions = Vec::new();
         for line in lines {
-            let label = field_str(line, "label")
+            let record = Json::parse(line).map_err(|e| format!("session line {line}: {e}"))?;
+            let label = text_of(&record, "label")
                 .ok_or_else(|| format!("session line lacks a label: {line}"))?;
-            let digest = field_str(line, "digest")
+            let digest = text_of(&record, "digest")
                 .ok_or_else(|| format!("session line lacks a digest: {line}"))?;
             sessions.push(TraceRecord {
                 label,
                 digest,
-                events: field_u64(line, "events").unwrap_or(0),
-                milestones: field_u64(line, "milestones").unwrap_or(0),
+                events: count_of(&record, "events"),
+                milestones: count_of(&record, "milestones"),
             });
         }
         Ok(Self {
@@ -215,16 +223,22 @@ mod tests {
     }
 
     #[test]
-    fn escaped_labels_round_trip() {
-        let file = TraceFile::new(
-            "tiny \"quoted\"",
-            1,
-            "seq\\uential",
-            vec![("label \"x\"\\y".to_string(), summary("dd", 2))],
-        );
-        let back = TraceFile::parse(&file.render()).unwrap();
-        assert_eq!(back, file);
-        assert_eq!(back.sessions[0].label, "label \"x\"\\y");
+    fn escaped_labels_and_large_seeds_round_trip() {
+        for seed in [1, 12_835_850_853_227_824_550, u64::MAX] {
+            let file = TraceFile::new(
+                "tiny \"quoted\"",
+                seed,
+                "seq\\uential",
+                vec![
+                    ("label \"x\"\\y".to_string(), summary("dd", 2)),
+                    ("tab\there µs\n".to_string(), summary("ee", 3)),
+                ],
+            );
+            let back = TraceFile::parse(&file.render()).unwrap();
+            assert_eq!(back, file);
+            assert_eq!(back.seed, seed);
+            assert_eq!(back.sessions[1].label, "tab\there µs\n");
+        }
     }
 
     #[test]

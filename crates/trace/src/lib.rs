@@ -25,8 +25,8 @@
 //!   [`compare`](TraceFile::compare) the digests.
 //!
 //! Everything here is deterministic and dependency-free: digests use
-//! `mpca-crypto` primitives, the file format is the same line-oriented
-//! JSON the golden fixtures use.
+//! `mpca-crypto` primitives, and the file format is JSON lines read with
+//! the workspace parser, `mpca_metrics::json`.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

@@ -40,7 +40,6 @@
 
 mod error;
 mod frame;
-pub mod linejson;
 mod reader;
 mod traits;
 mod varint;

@@ -112,8 +112,8 @@ fn measure_calibration_sweep() -> Vec<Measured> {
     measured
 }
 
-/// Renders the fixture in the stable line-oriented JSON shape
-/// `mpca_core::catalog` parses.
+/// Renders the fixture in its stable layout (one point per line, so diffs
+/// stay readable); `mpca_core::catalog` reads it with `mpca_metrics::json`.
 fn render_fixture(points: &[Measured]) -> String {
     let lines: Vec<String> = points
         .iter()

@@ -7,14 +7,14 @@
 //! 2. **Registry reconciliation** — with the metrics plane enabled, the
 //!    `net.phase.bytes.*` counters the sessions flush into the global
 //!    registry sum to exactly the bytes the reports charged.
-//! 3. **Schema stability** — the emitted metrics JSON round-trips, and the
-//!    checked-in schema fixture (`tests/golden/metrics_schema.json`) is in
-//!    canonical form.
+//! 3. **Schema stability** — the emitted metrics JSON round-trips, for any
+//!    metric name, and the checked-in schema fixture
+//!    (`tests/golden/metrics_schema.json`) is in canonical form.
 
 use std::sync::{Mutex, MutexGuard};
 
 use mpc_aborts::engine::Sequential;
-use mpc_aborts::metrics::{Phase, PhaseBytes, Registry, Snapshot};
+use mpc_aborts::metrics::{HistogramSnapshot, Phase, PhaseBytes, Registry, Snapshot};
 use mpc_aborts::scenario::{tiny_campaign, tiny_sweep_campaign};
 
 /// Serialises the tests that run sessions: the registry-reconciliation
@@ -132,4 +132,35 @@ fn schema_fixture_is_canonical() {
     let prom = parsed.to_prometheus();
     assert!(prom.contains("# TYPE net_phase_bytes_sharing counter"));
     assert!(prom.contains("engine_session_wall_us_bucket{le=\"+Inf\"} 4"));
+}
+
+#[test]
+fn any_metric_name_round_trips_as_valid_json() {
+    let names = ["latency.µs", "tab\there", "nl\nhere", "\u{1}x"];
+    let snapshot = Snapshot {
+        counters: names.iter().map(|n| (n.to_string(), 1)).collect(),
+        histograms: names
+            .iter()
+            .map(|n| {
+                let h = HistogramSnapshot {
+                    count: 1,
+                    sum: u64::MAX,
+                    buckets: vec![(u64::MAX, 1)],
+                };
+                (n.to_string(), h)
+            })
+            .collect(),
+    };
+    let json = snapshot.to_json();
+    for line in json.lines() {
+        assert!(
+            !line.chars().any(char::is_control),
+            "raw control character in {line:?}"
+        );
+    }
+    assert!(
+        json.contains(r#""nl\nhere""#),
+        "a newline in a name is escaped"
+    );
+    assert_eq!(Snapshot::from_json(&json), Some(snapshot));
 }

@@ -6,8 +6,9 @@
 //! * **the rigged health check** — `Rig::LoosenFlooding` plants a
 //!   violation the searcher must find and shrink;
 //! * **golden counterexamples** — every `.cex` file checked in under
-//!   `tests/counterexamples/` replays bit-for-bit (digest, event count,
-//!   violated set, first span) on both backends, forever.
+//!   `tests/counterexamples/` re-renders byte-identically and replays
+//!   bit-for-bit (digest, event count, violated set, first span) on both
+//!   backends, forever.
 
 use mpc_aborts::engine::{Parallel, Sequential};
 use mpc_aborts::scenario::{run_search, Counterexample, Rig, SearchConfig};
@@ -81,6 +82,12 @@ fn checked_in_counterexamples_replay_on_both_backends() {
         let text = std::fs::read_to_string(&path).expect("readable");
         let cex = Counterexample::parse(&text)
             .unwrap_or_else(|e| panic!("{} must parse: {e}", path.display()));
+        assert_eq!(
+            cex.render(),
+            text,
+            "{} must re-render byte-identically",
+            path.display()
+        );
         for (backend, mismatches) in [
             ("sequential", cex.replay(Sequential).expect("replays")),
             (

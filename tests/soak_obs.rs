@@ -6,7 +6,7 @@
 use std::time::Duration;
 
 use mpc_aborts::engine::Sequential;
-use mpc_aborts::obs::sentinel::Json;
+use mpc_aborts::metrics::json::Json;
 use mpc_aborts::obs::{run_sentinel, run_soak, SoakConfig};
 use mpc_aborts::scenario::SoakWorkload;
 
