@@ -56,7 +56,7 @@ impl<B: ExecutionBackend> SessionTask<B> {
                 let result = backend.execute(sim)?;
                 Ok(SessionReport::from_result_retaining(
                     job_label,
-                    &result,
+                    result,
                     start.elapsed(),
                     keep_logs,
                 ))

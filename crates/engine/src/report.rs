@@ -113,17 +113,6 @@ impl SessionReport {
         result: &RunResult<O>,
         wall: Duration,
     ) -> Self {
-        Self::from_result_retaining(label, result, wall, false)
-    }
-
-    /// Digests a typed [`RunResult`], optionally retaining the full trace
-    /// log (see [`SessionReport::trace_log`]) alongside its summary.
-    pub fn from_result_retaining<O: Debug>(
-        label: impl Into<String>,
-        result: &RunResult<O>,
-        wall: Duration,
-        keep_log: bool,
-    ) -> Self {
         Self {
             label: label.into(),
             outcomes: result
@@ -144,15 +133,30 @@ impl SessionReport {
             peak_inbox_bytes: result.peak_inbox_bytes,
             peak_inbox_envelopes: result.peak_inbox_envelopes,
             trace: result.trace.as_ref().map(TraceSummary::of),
-            trace_log: if keep_log {
-                result.trace.clone().map(std::sync::Arc::new)
-            } else {
-                None
-            },
+            trace_log: None,
             phase_bytes: result.phase_bytes,
             wall,
             queue_wait: Duration::ZERO,
         }
+    }
+
+    /// Digests a typed [`RunResult`], optionally retaining the full trace
+    /// log (see [`SessionReport::trace_log`]) alongside its summary. The
+    /// log is moved out of `result`, not copied.
+    pub fn from_result_retaining<O: Debug>(
+        label: impl Into<String>,
+        mut result: RunResult<O>,
+        wall: Duration,
+        keep_log: bool,
+    ) -> Self {
+        let mut report = Self::from_result(label, &result, wall);
+        if keep_log {
+            report.trace_log = result.trace.take().map(|mut log| {
+                log.shrink_to_fit();
+                std::sync::Arc::new(log)
+            });
+        }
+        report
     }
 
     /// Total bytes sent in the session.

@@ -97,6 +97,12 @@ impl TraceLog {
         self.events.push(event);
     }
 
+    /// Releases the event buffer's spare capacity — for a finished log
+    /// that is kept after its execution ends.
+    pub fn shrink_to_fit(&mut self) {
+        self.events.shrink_to_fit();
+    }
+
     /// The recorded events, in order.
     pub fn events(&self) -> &[TraceEvent] {
         &self.events

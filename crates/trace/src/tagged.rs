@@ -1,8 +1,8 @@
 //! The frame-tagged, human-facing trace view.
 
 use mpca_core::{FrameSchema, ProtocolKind};
-use mpca_net::{Milestone, MilestoneKind, PartyId, TraceEvent, TraceLog};
-use std::collections::BTreeMap;
+use mpca_net::{Milestone, MilestoneKind, PartyId, Payload, TraceEvent, TraceLog};
+use std::collections::{BTreeMap, HashMap};
 
 /// A cheap 64-bit FNV-1a fingerprint of a payload's bytes.
 ///
@@ -83,13 +83,26 @@ pub struct TaggedTrace {
 }
 
 impl TaggedEntry {
-    /// Tags one raw event against `schema` — the single-event mapping
-    /// [`TaggedTrace::new`] folds over a whole log, exposed so live
+    /// Tags one raw event against `schema` — the mapping
+    /// [`TaggedTrace::new`] applies to every event of a log (there with
+    /// the tag and fingerprint memoised per payload buffer), exposed so live
     /// evaluators (the `mpca-predicate` [`TraceSink`](mpca_net::TraceSink)
     /// adapter) observe byte-identical entries to a post-hoc tagging.
     /// Tamper attribution is a whole-stream pass, so `tampered` is always
     /// `None` here.
     pub fn of_event(event: &TraceEvent, schema: &FrameSchema) -> Self {
+        Self::with_frame(event, |payload| {
+            (schema.tag(payload), payload_fingerprint(payload))
+        })
+    }
+
+    /// The one event→entry mapping: `frame` supplies a send's tag and
+    /// [`payload_fingerprint`], so [`TaggedTrace::new`] can answer it from
+    /// a per-buffer memo while [`of_event`](Self::of_event) computes it.
+    fn with_frame(
+        event: &TraceEvent,
+        frame: impl FnOnce(&Payload) -> (Option<&'static str>, u64),
+    ) -> Self {
         match event {
             TraceEvent::Send {
                 round,
@@ -97,16 +110,19 @@ impl TaggedEntry {
                 to,
                 payload,
                 injected,
-            } => TaggedEntry::Send {
-                round: *round,
-                from: *from,
-                to: *to,
-                bytes: payload.len(),
-                injected: *injected,
-                tag: schema.tag(payload),
-                payload_fp: payload_fingerprint(payload),
-                tampered: None,
-            },
+            } => {
+                let (tag, payload_fp) = frame(payload);
+                TaggedEntry::Send {
+                    round: *round,
+                    from: *from,
+                    to: *to,
+                    bytes: payload.len(),
+                    injected: *injected,
+                    tag,
+                    payload_fp,
+                    tampered: None,
+                }
+            }
             TraceEvent::Milestone(m) => TaggedEntry::Milestone {
                 round: m.round,
                 party: m.party,
@@ -133,14 +149,28 @@ impl TaggedTrace {
     /// Tags every send of `log` with the frame schema of `kind`, and
     /// annotates injected sends that shadow an honest envelope with the
     /// tampered frame-field path (see [`TaggedEntry::Send::tampered`]).
+    ///
+    /// A payload buffer is decoded and fingerprinted once, however many
+    /// sends share it (fan-outs, flood junk): the same per-buffer memo
+    /// [`digest_hex`](crate::digest_hex) folds payloads with.
     pub fn new(log: &TraceLog, kind: ProtocolKind) -> Self {
         let schema = FrameSchema::new(kind);
-        let mut entries: Vec<TaggedEntry> = log
-            .events()
-            .iter()
-            .map(|event| TaggedEntry::of_event(event, &schema))
-            .collect();
-        annotate_tampered(&mut entries, log, &schema);
+        // Memo key: the shared window's address and length. Sound because
+        // `log` keeps every payload alive for the whole call (no address is
+        // reused) and payloads are immutable. Not for live streams, whose
+        // freed buffers' addresses can come back.
+        let mut memo: HashMap<(usize, usize), (Option<&'static str>, u64)> = HashMap::new();
+        let mut entries = Vec::with_capacity(log.len());
+        entries.extend(log.events().iter().map(|event| {
+            TaggedEntry::with_frame(event, |payload| {
+                *memo
+                    .entry((payload.as_ptr() as usize, payload.len()))
+                    .or_insert_with(|| (schema.tag(payload), payload_fingerprint(payload)))
+            })
+        }));
+        if log.injected_sends() > 0 {
+            annotate_tampered(&mut entries, log, &schema);
+        }
         Self {
             kind,
             entries,
@@ -215,18 +245,21 @@ impl TaggedTrace {
 fn annotate_tampered(entries: &mut [TaggedEntry], log: &TraceLog, schema: &FrameSchema) {
     // (round, from, tag) -> payload of the first honest send in the group.
     let mut honest: BTreeMap<(usize, usize, &'static str), &[u8]> = BTreeMap::new();
-    for event in log.events() {
-        if let TraceEvent::Send {
-            round,
-            from,
-            payload,
-            injected: false,
-            ..
-        } = event
+    for (entry, event) in entries.iter().zip(log.events()) {
+        if let (
+            TaggedEntry::Send {
+                round,
+                from,
+                injected: false,
+                tag: Some(tag),
+                ..
+            },
+            TraceEvent::Send { payload, .. },
+        ) = (entry, event)
         {
-            if let Some(tag) = schema.tag(payload) {
-                honest.entry((*round, from.index(), tag)).or_insert(payload);
-            }
+            honest
+                .entry((*round, from.index(), *tag))
+                .or_insert(payload);
         }
     }
     for (entry, event) in entries.iter_mut().zip(log.events()) {
@@ -294,7 +327,7 @@ fn diff_field(schema: &FrameSchema, original: &[u8], copy: &[u8]) -> Option<Stri
 mod tests {
     use super::*;
     use mpca_core::broadcast::BroadcastMsg;
-    use mpca_net::{MilestoneEvent, Payload};
+    use mpca_net::MilestoneEvent;
 
     #[test]
     fn tags_milestones_and_junk() {
@@ -411,6 +444,52 @@ mod tests {
             panic!("expected a send");
         };
         assert_eq!(tampered.as_deref(), None);
+    }
+
+    #[test]
+    fn fan_out_shares_one_tag_and_a_tampered_shadow_keeps_its_field() {
+        let schema = FrameSchema::new(ProtocolKind::Broadcast);
+        let shared = Payload::encode(&BroadcastMsg::Send(vec![5, 6, 7, 8]));
+        let mut log = TraceLog::new();
+        for to in 1..=3 {
+            log.push(TraceEvent::Send {
+                round: 1,
+                from: PartyId(0),
+                to: PartyId(to),
+                payload: shared.clone(),
+                injected: false,
+            });
+        }
+        let copy = schema
+            .tamper(&shared, "bcast:send", "message")
+            .expect("message field is mutable");
+        log.push(TraceEvent::Send {
+            round: 1,
+            from: PartyId(0),
+            to: PartyId(3),
+            payload: Payload::from_vec(copy),
+            injected: true,
+        });
+
+        let tagged = TaggedTrace::new(&log, ProtocolKind::Broadcast);
+        let frames: Vec<_> = tagged
+            .entries
+            .iter()
+            .map(|entry| match entry {
+                TaggedEntry::Send {
+                    tag,
+                    payload_fp,
+                    tampered,
+                    ..
+                } => (*tag, *payload_fp, tampered.clone()),
+                TaggedEntry::Milestone { .. } => panic!("expected a send"),
+            })
+            .collect();
+        let fan_out = (Some("bcast:send"), payload_fingerprint(&shared), None);
+        assert_eq!(frames[..3], [fan_out.clone(), fan_out.clone(), fan_out]);
+        assert_eq!(frames[3].0, Some("bcast:send"));
+        assert_ne!(frames[3].1, frames[0].1, "the copy has its own fingerprint");
+        assert_eq!(frames[3].2.as_deref(), Some("message"));
     }
 
     #[test]

@@ -3,17 +3,21 @@
 //! protocol family satisfy the family's full predicate set at any seed on
 //! any backend, while the rigged controls — an equivocated unchecked sum, a
 //! charged flood — violate **exactly** their intended predicate, with a
-//! meaningful first-violation event span.
+//! meaningful first-violation event span. The recorded path
+//! (`TaggedTrace::new`, which memoises tags per shared payload buffer) and
+//! the live path (`LiveEvaluator`, which tags event by event) must agree
+//! entry for entry and verdict for verdict.
 
 use proptest::prelude::*;
 
 use mpc_aborts::engine::{ExecutionBackend, Parallel, Sequential, SessionPool, SessionReport};
-use mpc_aborts::predicate::{eval_set, full_set, SetViolation};
-use mpc_aborts::protocols::{ExecutionPath, ProtocolKind};
+use mpc_aborts::net::TraceLog;
+use mpc_aborts::predicate::{eval_set, full_set, LiveEvaluator, SetViolation};
+use mpc_aborts::protocols::{ExecutionPath, FrameSchema, ProtocolKind};
 use mpc_aborts::scenario::{
     registry, AdversarySpec, CorruptionSpec, Expectation, Scenario, TriggerSpec,
 };
-use mpc_aborts::trace::TaggedTrace;
+use mpc_aborts::trace::{TaggedEntry, TaggedTrace};
 
 /// Builds one concrete scenario at the family's smallest sweep grid point.
 fn scenario(kind: ProtocolKind, adversary: AdversarySpec, charge: bool, seed: u64) -> Scenario {
@@ -49,8 +53,113 @@ fn violations(scenario: &Scenario, report: &SessionReport) -> Vec<SetViolation> 
     eval_set(&full_set(scenario.kind, None), &trace)
 }
 
+/// A frame-field tamper each family's traffic carries: the frame tag and
+/// one of its mutable fields.
+fn frame_target(kind: ProtocolKind) -> (&'static str, &'static str) {
+    match kind {
+        ProtocolKind::Theorem1Mpc => ("mpc:input-ct", "c2.0"),
+        ProtocolKind::Theorem4Tradeoff => ("mpc:output", "output"),
+        ProtocolKind::Theorem2LocalMpc => ("gossip:rumour", "value"),
+        ProtocolKind::Broadcast => ("bcast:send", "message"),
+        ProtocolKind::SuccinctAllToAll => ("a2a:input", "input"),
+        ProtocolKind::UncheckedSum => ("sum:value", "value"),
+    }
+}
+
+/// The runs the cross-path check covers for one family, with whether each
+/// charges adversary bytes: honest, a charged flood (one junk buffer
+/// shared by every flooded envelope), a plain equivocation and a
+/// frame-field tamper.
+fn cross_path_adversaries(kind: ProtocolKind) -> Vec<(AdversarySpec, bool)> {
+    let (tag, field) = frame_target(kind);
+    vec![
+        (AdversarySpec::Honest, false),
+        (
+            AdversarySpec::Flood {
+                corrupt: CorruptionSpec::Explicit(vec![0]),
+                victims: vec![],
+                junk_bytes: 256,
+                round_budget: Some(2),
+            },
+            true,
+        ),
+        (
+            AdversarySpec::Equivocate {
+                corrupt: CorruptionSpec::Explicit(vec![0]),
+                victims: vec![1],
+            },
+            false,
+        ),
+        (
+            AdversarySpec::EquivocateFrame {
+                corrupt: CorruptionSpec::Explicit(vec![0]),
+                victims: vec![1, 2, 3],
+                tag: tag.into(),
+                field: field.into(),
+            },
+            false,
+        ),
+    ]
+}
+
+/// Checks the recorded path against the per-event one on one retained
+/// stream: entries equal apart from tamper attribution, no honest entry
+/// attributed, and the live evaluator's verdicts identical.
+fn assert_paths_agree(kind: ProtocolKind, log: &TraceLog, what: &str) {
+    let schema = FrameSchema::new(kind);
+    let tagged = TaggedTrace::new(log, kind);
+    assert_eq!(tagged.entries.len(), log.len(), "{what}");
+    for (index, (entry, event)) in tagged.entries.iter().zip(log.events()).enumerate() {
+        let mut untampered = entry.clone();
+        if let TaggedEntry::Send {
+            injected, tampered, ..
+        } = &mut untampered
+        {
+            assert!(
+                *injected || tampered.is_none(),
+                "{what}: honest entry {index} attributed to {tampered:?}"
+            );
+            *tampered = None;
+        }
+        assert_eq!(
+            untampered,
+            TaggedEntry::of_event(event, &schema),
+            "{what}: entry {index}"
+        );
+    }
+    let set = full_set(kind, None);
+    let mut live = LiveEvaluator::new(kind, log.charges_adversary_bytes(), &set);
+    log.stream_into(&mut live);
+    assert_eq!(live.finish(), eval_set(&set, &tagged), "{what}: verdicts");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// Memoised and per-event tagging agree on every family, under honest
+    /// runs, shared-buffer floods, equivocation and frame tampers, on both
+    /// backends; and the live evaluator returns the recorded path's
+    /// violations exactly.
+    #[test]
+    fn recorded_and_live_paths_agree_for_all_families(seed in any::<u64>()) {
+        for kind in ProtocolKind::ALL {
+            for (adversary, charge) in cross_path_adversaries(kind) {
+                let scenario = scenario(kind, adversary, charge, seed);
+                for (backend, report) in [
+                    ("sequential", run_traced(&scenario, Sequential)),
+                    ("parallel", run_traced(&scenario, Parallel::default())),
+                ] {
+                    let log = report.trace_log.as_ref().expect("stream retained");
+                    let what = format!(
+                        "{} {} on {backend} (seed {seed})",
+                        kind.name(),
+                        scenario.adversary.name()
+                    );
+                    assert_paths_agree(kind, log, &what);
+                }
+            }
+        }
+    }
 
     /// Honest executions of all six families pass the entire full predicate
     /// set — frame legality, temporal rules, flooding, consistency — at any
