@@ -4,9 +4,11 @@
 //! The scenario subsystem (`mpca-scenario`) enumerates protocols, builds
 //! their parties through the constructors in this crate, and checks executed
 //! sessions against the paper's communication budgets. The catalog is the
-//! bridge: a [`ProtocolKind`] names a family, maps it to its paper
-//! statement, and computes the **budget envelope** its honest communication
-//! must stay inside — the quantitative half of the security-property oracle.
+//! bridge: a [`ProtocolKind`] names a family, its [`FamilySpec`] row holds
+//! every per-family fact (grids, theorem shapes, frame decoders, predicate
+//! scoping), and the catalog computes the **budget envelope** its honest
+//! communication must stay inside — the quantitative half of the
+//! security-property oracle.
 //!
 //! Budgets are **per-protocol envelope curves derived from golden honest
 //! sweeps** (`tests/golden/comm_budget_curves.json`, regenerable with
@@ -17,7 +19,7 @@
 //! tight enough (≈2× measured, versus the former ~10× hand constants) to
 //! catch constant-factor regressions, not just asymptotic ones. Protocols
 //! whose traffic depends on CRS-seeded committee draws
-//! ([`crs_variant_traffic`](ProtocolKind::crs_variant_traffic)) additionally
+//! ([`committee_traffic`](FamilySpec::committee_traffic)) additionally
 //! floor each point at the grid-wide fitted envelope, so an unlucky
 //! calibration draw cannot produce a budget a lucky execution draw would
 //! overshoot. Off-grid parameters get the fitted envelope — the theorem
@@ -31,6 +33,7 @@ use std::sync::OnceLock;
 
 use mpca_metrics::json::Json;
 
+use crate::frames::{self, FrameDecoder};
 use crate::params::ProtocolParams;
 
 /// Multiplicative headroom the budget curves grant over the golden-measured
@@ -88,6 +91,12 @@ impl ProtocolKind {
         ProtocolKind::UncheckedSum,
     ];
 
+    /// The family's row of the catalog table: every per-family protocol
+    /// fact in one place.
+    pub fn spec(self) -> &'static FamilySpec {
+        &FAMILIES[self as usize]
+    }
+
     /// The inverse of [`name`](Self::name): resolves a stable identifier
     /// back to its family (used by the golden-fixture loader).
     pub fn from_name(name: &str) -> Option<ProtocolKind> {
@@ -96,162 +105,7 @@ impl ProtocolKind {
 
     /// Short stable identifier (used in scenario labels and reports).
     pub fn name(self) -> &'static str {
-        match self {
-            ProtocolKind::Theorem1Mpc => "thm1-mpc",
-            ProtocolKind::Theorem2LocalMpc => "thm2-local-mpc",
-            ProtocolKind::Theorem4Tradeoff => "thm4-tradeoff",
-            ProtocolKind::Broadcast => "broadcast",
-            ProtocolKind::SuccinctAllToAll => "all-to-all",
-            ProtocolKind::UncheckedSum => "unchecked-sum",
-        }
-    }
-
-    /// The paper statement the family implements.
-    pub fn paper_ref(self) -> &'static str {
-        match self {
-            ProtocolKind::Theorem1Mpc => "Theorem 1 / Algorithm 3",
-            ProtocolKind::Theorem2LocalMpc => "Theorem 2 / Theorem 18",
-            ProtocolKind::Theorem4Tradeoff => "Theorem 4 / Algorithm 8",
-            ProtocolKind::Broadcast => "§2.1 (broadcast with abort)",
-            ProtocolKind::SuccinctAllToAll => "§2.1 / Remark 8",
-            ProtocolKind::UncheckedSum => "— (negative control)",
-        }
-    }
-
-    /// `true` when the family detects equivocation and answers with abort.
-    ///
-    /// Every paper protocol does; the [`UncheckedSum`](Self::UncheckedSum)
-    /// negative control deliberately does not, so the oracle has a scenario
-    /// it must flag.
-    pub fn detects_equivocation(self) -> bool {
-        !matches!(self, ProtocolKind::UncheckedSum)
-    }
-
-    /// The `(n, h)` grid the `--sweep` campaign mode (and the golden
-    /// calibration sweeps) use for this family. Grid points keep a
-    /// corruption margin `n - h ≥ 2` (≥ 4 for the MPC families), so the
-    /// seeded adversary classes of the sweep fit every point.
-    pub fn sweep_grid(self) -> &'static [(usize, usize)] {
-        match self {
-            ProtocolKind::Theorem1Mpc => &[
-                (8, 4),
-                (12, 6),
-                (16, 8),
-                (16, 12),
-                (24, 12),
-                (32, 16),
-                (48, 24),
-            ],
-            ProtocolKind::Theorem2LocalMpc | ProtocolKind::Theorem4Tradeoff => {
-                &[(8, 4), (12, 6), (16, 8), (16, 12), (24, 12), (32, 16)]
-            }
-            ProtocolKind::Broadcast | ProtocolKind::UncheckedSum => {
-                &[(8, 6), (12, 10), (16, 14), (24, 22), (32, 30), (48, 46)]
-            }
-            ProtocolKind::SuccinctAllToAll => &[(8, 6), (12, 10), (16, 14), (24, 22), (32, 30)],
-        }
-    }
-
-    /// Additional calibration-only grid points: `(n, h)` pairs used by
-    /// standing campaigns and tests that are not part of the sweep grid.
-    /// Their goldens keep the tight per-point budgets exact wherever the
-    /// oracle actually runs.
-    ///
-    /// The tail of each list reaches into the **asymptotic regime**
-    /// (`n ∈ {192, 256, 384, 512}` where a debug-mode calibration run stays
-    /// affordable): those points give the log-factor fit of
-    /// [`BudgetCurve::fitted_log_exponent`] the spread it needs, instead of
-    /// extrapolating polylog growth from `n ≤ 48`. The `Õ(n³)`-traffic
-    /// gossip families are calibrated as far as a `cargo test` run can
-    /// carry them; the `E19-asymptotics` bench experiment measures them
-    /// further out in release mode.
-    pub fn calibration_extras(self) -> &'static [(usize, usize)] {
-        match self {
-            ProtocolKind::Theorem1Mpc => &[
-                (8, 6),
-                (8, 8),
-                (16, 14),
-                (16, 15),
-                (24, 20),
-                (192, 96),
-                (256, 128),
-                (384, 192),
-                (512, 256),
-            ],
-            ProtocolKind::Theorem2LocalMpc => {
-                &[(8, 6), (8, 8), (16, 13), (48, 24), (64, 32), (96, 48)]
-            }
-            ProtocolKind::Theorem4Tradeoff => {
-                &[(8, 6), (8, 8), (16, 14), (48, 24), (64, 32), (96, 48)]
-            }
-            ProtocolKind::Broadcast => &[(192, 190), (256, 254), (384, 382), (512, 510)],
-            ProtocolKind::SuccinctAllToAll => &[(10, 9), (192, 190), (256, 254)],
-            ProtocolKind::UncheckedSum => &[(9, 7), (192, 190), (256, 254), (384, 382), (512, 510)],
-        }
-    }
-
-    /// The full calibration grid: the sweep grid plus the extras.
-    pub fn calibration_grid(self) -> Vec<(usize, usize)> {
-        let mut grid: Vec<(usize, usize)> = self.sweep_grid().to_vec();
-        grid.extend_from_slice(self.calibration_extras());
-        grid
-    }
-
-    /// `true` when the family's honest traffic depends on `h` (the MPC
-    /// families size committees and routing graphs by it). The broadcast
-    /// baselines and the unchecked control ignore `h` entirely, so their
-    /// calibration points match on `n` alone.
-    pub fn h_sensitive_traffic(self) -> bool {
-        matches!(
-            self,
-            ProtocolKind::Theorem1Mpc
-                | ProtocolKind::Theorem2LocalMpc
-                | ProtocolKind::Theorem4Tradeoff
-        )
-    }
-
-    /// `true` when the family's honest byte counts vary with the CRS label
-    /// (committee election and routing-graph sampling are CRS-seeded, so two
-    /// honest executions at the same `(n, h)` legitimately differ by more
-    /// than the budget slack). Budget curves floor these families' points at
-    /// the grid-wide normalised-constant fit.
-    pub fn crs_variant_traffic(self) -> bool {
-        self.h_sensitive_traffic()
-    }
-
-    /// The theorem's communication shape for this family, evaluated at
-    /// `(n, h)` with per-party payload ℓ bytes — the quantity the paper
-    /// bounds up to constants and polylog factors. Budget curves scale this
-    /// shape by golden-measured constants.
-    pub fn comm_shape(self, n: usize, h: usize, payload_bytes: usize) -> f64 {
-        let (n, h, ell) = (n as f64, h as f64, payload_bytes as f64);
-        match self {
-            // Theorem 1: Õ(n²/h).
-            ProtocolKind::Theorem1Mpc => n * n / h,
-            // Theorem 2: Õ(n³/h).
-            ProtocolKind::Theorem2LocalMpc => n * n * n / h,
-            // Theorem 4: Õ(n³/h^{3/2}).
-            ProtocolKind::Theorem4Tradeoff => n * n * n / (h * h.sqrt()),
-            // O(n²·(ℓ + λ-ish header)): the echo phase re-sends n² times.
-            ProtocolKind::Broadcast => n * n * (ell + 16.0),
-            // Õ(n²·(ℓ + λ)).
-            ProtocolKind::SuccinctAllToAll => n * n * (ell + 64.0),
-            // n² messages of ℓ value + header bytes.
-            ProtocolKind::UncheckedSum => n * n * (ell + 16.0),
-        }
-    }
-
-    /// The theorem's **locality** shape: the number of distinct peers one
-    /// honest party may contact, up to constants. Theorems 2 and 4 promise
-    /// sublinear locality (`Õ(n/h)` and `Õ(n/√h)`); the remaining families
-    /// are full-mesh (`n - 1`).
-    pub fn locality_shape(self, n: usize, h: usize) -> f64 {
-        let (n, h) = (n as f64, h as f64);
-        match self {
-            ProtocolKind::Theorem2LocalMpc => n / h,
-            ProtocolKind::Theorem4Tradeoff => n / h.sqrt(),
-            _ => (n - 1.0).max(1.0),
-        }
+        self.spec().name
     }
 
     /// The honest-communication **budget envelope** in bits for an execution
@@ -285,32 +139,222 @@ impl ProtocolKind {
         }
     }
 
-    /// The pre-curve budget: the paper's asymptotic bounds instantiated with
-    /// hand constants calibrated ~10× above the `E1`–`E5` measurements. Kept
-    /// as the fallback for builds without the golden fixture, and as the
-    /// yardstick the bless test tightens against.
+    /// The pre-curve budget: the family row's `legacy_budget_constant`
+    /// times its `comm_shape`, hand-calibrated ~10× above the `E1`–`E5`
+    /// measurements. Kept as the fallback for builds
+    /// without the golden fixture, and as the yardstick the bless test
+    /// tightens against.
     pub fn fallback_budget_bits(self, params: &ProtocolParams, payload_bytes: usize) -> u64 {
-        let (n, h) = (params.n as u64, params.h as u64);
-        let ell = payload_bytes as u64;
-        match self {
-            // Measured: bits·h/n² ≤ ~60k over the E1 grid.
-            ProtocolKind::Theorem1Mpc => 512_000 * n * n / h,
-            // Measured: bits·h/n³ ≤ ~51k over the E2 grid.
-            ProtocolKind::Theorem2LocalMpc => 512_000 * n * n * n / h,
-            // Measured: bits·h^{3/2}/n³ ≤ ~87k over the E3 grid.
-            ProtocolKind::Theorem4Tradeoff => {
-                let h_sqrt = (params.h as f64).sqrt();
-                (768_000.0 * (params.n as f64).powi(3) / (params.h as f64 * h_sqrt)) as u64
-            }
-            // O(n·ℓ + n²·ℓ): the echo phase re-sends the message n² times.
-            ProtocolKind::Broadcast => 64 * n * n * (ell + 16),
-            // Õ(n²·(ℓ + λ)): measured ~585 bits per ordered pair at ℓ = 64.
-            ProtocolKind::SuccinctAllToAll => 64 * n * n * (ell + 64),
-            // n² messages of ⌈ℓ⌉ + header bytes.
-            ProtocolKind::UncheckedSum => 64 * n * n * (ell + 16),
-        }
+        let spec = self.spec();
+        (spec.legacy_budget_constant * spec.shape(params.n, params.h, payload_bytes)) as u64
     }
 }
+
+/// One protocol family's facts: a row of the catalog table, reached
+/// through [`ProtocolKind::spec`].
+///
+/// Everything that differs between families — identity, grids, budget
+/// shapes, framing, predicate scoping — is data here, so the budget curves,
+/// [`FrameSchema`](crate::FrameSchema), the predicate sets, the sweep and
+/// the search all read one definition. Adding a family is one row here,
+/// plus its constructor and sweep adversary classes in the scenario layer
+/// (DESIGN.md §6).
+#[derive(Debug)]
+pub struct FamilySpec {
+    /// Short stable identifier (scenario labels, reports, fixtures).
+    pub(crate) name: &'static str,
+    /// The `(n, h)` grid the `--sweep` campaign mode (and the golden
+    /// calibration sweeps) use. Grid points keep a corruption margin
+    /// `n - h ≥ 2` (≥ 4 for the committee families), so the seeded
+    /// adversary classes of the sweep fit every point.
+    pub sweep_grid: &'static [(usize, usize)],
+    /// Additional calibration-only grid points: `(n, h)` pairs used by
+    /// standing campaigns and tests that are not part of the sweep grid.
+    /// Their goldens keep the tight per-point budgets exact wherever the
+    /// oracle actually runs.
+    ///
+    /// The tail of each list reaches into the **asymptotic regime**
+    /// (`n ∈ {192, 256, 384, 512}` where a debug-mode calibration run stays
+    /// affordable): those points give the log-factor fit of
+    /// [`BudgetCurve::fitted_log_exponent`] the spread it needs, instead of
+    /// extrapolating polylog growth from `n ≤ 48`. The `Õ(n³)`-traffic
+    /// gossip families are calibrated as far as a `cargo test` run can
+    /// carry them; the `E19-asymptotics` bench experiment measures them
+    /// further out in release mode.
+    pub(crate) calibration_extras: &'static [(usize, usize)],
+    /// `true` when honest traffic is sized by committees and routing
+    /// graphs drawn from the CRS (the three theorem families). Such traffic
+    /// depends on `h`, so calibration points match on `(n, h)` rather than
+    /// `n` alone; and it varies with the CRS label — two honest executions
+    /// at the same `(n, h)` legitimately differ by more than the budget
+    /// slack — so budget curves floor these families' points at the
+    /// grid-wide normalised-constant fit.
+    pub committee_traffic: bool,
+    /// The theorem's communication shape at `(n, h)` with per-party payload
+    /// ℓ bytes — the quantity the paper bounds up to constants and polylog
+    /// factors. Budget curves scale it by golden-measured constants.
+    pub(crate) comm_shape: fn(n: f64, h: f64, payload_bytes: f64) -> f64,
+    /// The theorem's **locality** shape: the number of distinct peers one
+    /// honest party may contact, up to constants. Theorems 2 and 4 promise
+    /// sublinear locality (`Õ(n/h)` and `Õ(n/√h)`); the remaining families
+    /// are full-mesh (`n - 1`).
+    pub(crate) locality_shape: fn(n: f64, h: f64) -> f64,
+    /// The hand constant of the legacy budget
+    /// ([`ProtocolKind::fallback_budget_bits`]): bits per unit of
+    /// [`comm_shape`](Self::comm_shape), ~10× above the measurements.
+    pub(crate) legacy_budget_constant: f64,
+    /// The message-enum decoders [`FrameSchema::decode`](crate::FrameSchema::decode)
+    /// tries, in order (dominant enum first).
+    pub(crate) frame_decoders: &'static [FrameDecoder],
+    /// The frame tags the family replicates **verbatim** to several
+    /// recipients — the tags the broadcast-consistency predicate may
+    /// quantify over without false positives. Tags with legitimate
+    /// per-recipient variation (key-generation shares, gossip rumours
+    /// relaying distinct sources) are deliberately absent; Theorem 2's
+    /// local protocol replicates nothing verbatim.
+    pub consistency_tags: &'static [&'static str],
+    /// `true` for the families where a misbehaviour-detection abort can
+    /// **only** arise from the announced verification phase. The
+    /// committee-based theorem families legitimately detect earlier — their
+    /// committee-election equality tests and share-forwarding cross-checks
+    /// run (and abort) before any `VerificationStart` milestone — so the
+    /// detection-implies-verification rule is not an invariant there.
+    pub verification_is_sole_detector: bool,
+}
+
+impl FamilySpec {
+    /// The full calibration grid: the sweep grid plus the extras.
+    pub fn calibration_grid(&self) -> Vec<(usize, usize)> {
+        [self.sweep_grid, self.calibration_extras].concat()
+    }
+
+    /// [`comm_shape`](Self::comm_shape) at integer arguments.
+    fn shape(&self, n: usize, h: usize, payload_bytes: usize) -> f64 {
+        (self.comm_shape)(n as f64, h as f64, payload_bytes as f64)
+    }
+}
+
+/// The full-mesh locality shape, `n - 1`.
+fn full_mesh(n: f64, _h: f64) -> f64 {
+    (n - 1.0).max(1.0)
+}
+
+/// The catalog table, in [`ProtocolKind::ALL`] order (a kind's discriminant
+/// indexes its row).
+static FAMILIES: [FamilySpec; 6] = [
+    // Theorem 1 / Algorithm 3.
+    FamilySpec {
+        name: "thm1-mpc",
+        sweep_grid: &[
+            (8, 4),
+            (12, 6),
+            (16, 8),
+            (16, 12),
+            (24, 12),
+            (32, 16),
+            (48, 24),
+        ],
+        calibration_extras: &[
+            (8, 6),
+            (8, 8),
+            (16, 14),
+            (16, 15),
+            (24, 20),
+            (192, 96),
+            (256, 128),
+            (384, 192),
+            (512, 256),
+        ],
+        committee_traffic: true,
+        // Õ(n²/h).
+        comm_shape: |n, h, _| n * n / h,
+        locality_shape: full_mesh,
+        // Measured: bits·h/n² ≤ ~60k over the E1 grid.
+        legacy_budget_constant: 512_000.0,
+        frame_decoders: &[frames::frame_mpc_msg, frames::frame_committee_msg],
+        consistency_tags: &["mpc:input-ct", "mpc:output"],
+        verification_is_sole_detector: false,
+    },
+    // Theorem 2 / Theorem 18.
+    FamilySpec {
+        name: "thm2-local-mpc",
+        sweep_grid: &[(8, 4), (12, 6), (16, 8), (16, 12), (24, 12), (32, 16)],
+        calibration_extras: &[(8, 6), (8, 8), (16, 13), (48, 24), (64, 32), (96, 48)],
+        committee_traffic: true,
+        // Õ(n³/h).
+        comm_shape: |n, h, _| n * n * n / h,
+        // Õ(n/h).
+        locality_shape: |n, h| n / h,
+        // Measured: bits·h/n³ ≤ ~51k over the E2 grid.
+        legacy_budget_constant: 512_000.0,
+        frame_decoders: &[frames::frame_gossip_msg, frames::frame_connect_msg],
+        consistency_tags: &[],
+        verification_is_sole_detector: false,
+    },
+    // Theorem 4 / Algorithm 8.
+    FamilySpec {
+        name: "thm4-tradeoff",
+        sweep_grid: &[(8, 4), (12, 6), (16, 8), (16, 12), (24, 12), (32, 16)],
+        calibration_extras: &[(8, 6), (8, 8), (16, 14), (48, 24), (64, 32), (96, 48)],
+        committee_traffic: true,
+        // Õ(n³/h^{3/2}).
+        comm_shape: |n, h, _| n * n * n / (h * h.sqrt()),
+        // Õ(n/√h).
+        locality_shape: |n, h| n / h.sqrt(),
+        // Measured: bits·h^{3/2}/n³ ≤ ~87k over the E3 grid.
+        legacy_budget_constant: 768_000.0,
+        frame_decoders: &[
+            frames::frame_mpc_msg,
+            frames::frame_local_committee_msg,
+            frames::frame_gossip_msg,
+            frames::frame_connect_msg,
+        ],
+        consistency_tags: &["mpc:input-ct", "mpc:output"],
+        verification_is_sole_detector: false,
+    },
+    // §2.1 (broadcast with abort).
+    FamilySpec {
+        name: "broadcast",
+        sweep_grid: &[(8, 6), (12, 10), (16, 14), (24, 22), (32, 30), (48, 46)],
+        calibration_extras: &[(192, 190), (256, 254), (384, 382), (512, 510)],
+        committee_traffic: false,
+        // O(n²·(ℓ + λ-ish header)): the echo phase re-sends n² times.
+        comm_shape: |n, _, ell| n * n * (ell + 16.0),
+        locality_shape: full_mesh,
+        legacy_budget_constant: 64.0,
+        frame_decoders: &[frames::frame_broadcast_msg],
+        consistency_tags: &["bcast:send"],
+        verification_is_sole_detector: true,
+    },
+    // §2.1 / Remark 8.
+    FamilySpec {
+        name: "all-to-all",
+        sweep_grid: &[(8, 6), (12, 10), (16, 14), (24, 22), (32, 30)],
+        calibration_extras: &[(10, 9), (192, 190), (256, 254)],
+        committee_traffic: false,
+        // Õ(n²·(ℓ + λ)): measured ~585 bits per ordered pair at ℓ = 64.
+        comm_shape: |n, _, ell| n * n * (ell + 64.0),
+        locality_shape: full_mesh,
+        legacy_budget_constant: 64.0,
+        frame_decoders: &[frames::frame_succinct_msg],
+        consistency_tags: &["a2a:input"],
+        verification_is_sole_detector: true,
+    },
+    // The negative control: no paper statement.
+    FamilySpec {
+        name: "unchecked-sum",
+        sweep_grid: &[(8, 6), (12, 10), (16, 14), (24, 22), (32, 30), (48, 46)],
+        calibration_extras: &[(9, 7), (192, 190), (256, 254), (384, 382), (512, 510)],
+        committee_traffic: false,
+        // n² messages of ℓ value + header bytes.
+        comm_shape: |n, _, ell| n * n * (ell + 16.0),
+        locality_shape: full_mesh,
+        legacy_budget_constant: 64.0,
+        frame_decoders: &[frames::frame_sum_value],
+        consistency_tags: &["sum:value"],
+        verification_is_sole_detector: true,
+    },
+];
 
 /// One golden honest-run measurement: the envelope (max over the
 /// calibration labels) of honest bits and locality at one `(n, h)` grid
@@ -333,7 +377,7 @@ pub struct CalibrationPoint {
 ///
 /// At a calibrated `(n, h)` point the communication budget is
 /// [`BUDGET_SLACK`]× the measured envelope; for
-/// [`crs_variant_traffic`](ProtocolKind::crs_variant_traffic) families each
+/// [`committee_traffic`](FamilySpec::committee_traffic) families each
 /// point is additionally floored at the grid-wide normalised-constant fit
 /// (`max` over points of `bits / comm_shape`), which absorbs the
 /// committee-draw variance two honest labels can legitimately differ by.
@@ -343,7 +387,7 @@ pub struct CalibrationPoint {
 /// slack.
 #[derive(Debug, Clone)]
 pub struct BudgetCurve {
-    kind: ProtocolKind,
+    spec: &'static FamilySpec,
     points: Vec<CalibrationPoint>,
 }
 
@@ -361,10 +405,10 @@ impl BudgetCurve {
     }
 
     /// The golden point for `(n, h)`, if calibrated. Families whose traffic
-    /// ignores `h` ([`h_sensitive_traffic`](ProtocolKind::h_sensitive_traffic)
-    /// is `false`) match on `n` alone.
+    /// ignores `h` ([`committee_traffic`](FamilySpec::committee_traffic) is
+    /// `false`) match on `n` alone.
     pub fn calibration_point(&self, n: usize, h: usize) -> Option<&CalibrationPoint> {
-        let want_h = self.kind.h_sensitive_traffic();
+        let want_h = self.spec.committee_traffic;
         self.points
             .iter()
             .find(|p| p.n == n && (!want_h || p.h == h))
@@ -385,7 +429,7 @@ impl BudgetCurve {
             .points
             .iter()
             .map(|p| {
-                let shape = self.kind.comm_shape(p.n, p.h, p.payload_bytes);
+                let shape = self.spec.shape(p.n, p.h, p.payload_bytes);
                 let log_n = (p.n as f64).log2().max(1.0);
                 (log_n.ln(), (p.honest_bits as f64 / shape).ln())
             })
@@ -411,7 +455,7 @@ impl BudgetCurve {
         self.points
             .iter()
             .map(|p| {
-                let shape = self.kind.comm_shape(p.n, p.h, p.payload_bytes);
+                let shape = self.spec.shape(p.n, p.h, p.payload_bytes);
                 p.honest_bits as f64 / (shape * (p.n as f64).log2().max(1.0).powf(k))
             })
             .fold(0.0, f64::max)
@@ -424,7 +468,7 @@ impl BudgetCurve {
     pub fn fitted_envelope_bits(&self, n: usize, h: usize, payload_bytes: usize) -> f64 {
         let k = self.fitted_log_exponent();
         self.fitted_envelope_constant(k)
-            * self.kind.comm_shape(n, h, payload_bytes)
+            * self.spec.shape(n, h, payload_bytes)
             * (n as f64).log2().max(1.0).powf(k)
     }
 
@@ -438,15 +482,15 @@ impl BudgetCurve {
     /// fit from `n ≤ 48` points undershot the polylog growth real
     /// measurements include.
     pub fn comm_budget_bits(&self, params: &ProtocolParams, payload_bytes: usize) -> u64 {
-        let shape = self.kind.comm_shape(params.n, params.h, payload_bytes);
+        let shape = self.spec.shape(params.n, params.h, payload_bytes);
         let fitted = self.fitted_envelope_bits(params.n, params.h, payload_bytes);
         let envelope = match self.calibration_point(params.n, params.h) {
             Some(point) => {
                 // Rescale the measured point if the requested payload
                 // differs from the calibrated one.
-                let scale = shape / self.kind.comm_shape(point.n, point.h, point.payload_bytes);
+                let scale = shape / self.spec.shape(point.n, point.h, point.payload_bytes);
                 let measured = point.honest_bits as f64 * scale;
-                if self.kind.crs_variant_traffic() {
+                if self.spec.committee_traffic {
                     measured.max(fitted)
                 } else {
                     measured
@@ -459,23 +503,24 @@ impl BudgetCurve {
 
     /// The locality budget at `params`: [`BUDGET_SLACK`]× the measured
     /// per-point locality envelope (floored at the grid-wide fit for
-    /// CRS-variant families, like the bit budgets), capped at `n - 1`.
+    /// committee-traffic families, like the bit budgets), capped at `n - 1`.
     /// Off-grid parameters get the `n - 1` cap outright — locality counts
     /// peers, where a full-mesh bound is always sound and the polylog
     /// residual is too small to fit meaningfully.
     pub fn locality_budget(&self, params: &ProtocolParams) -> usize {
         let cap = params.n.saturating_sub(1).max(1);
-        let shape = self.kind.locality_shape(params.n, params.h);
+        let locality_shape = |n: usize, h: usize| (self.spec.locality_shape)(n as f64, h as f64);
+        let shape = locality_shape(params.n, params.h);
         let fitted = self
             .points
             .iter()
-            .map(|p| p.max_locality as f64 / self.kind.locality_shape(p.n, p.h))
+            .map(|p| p.max_locality as f64 / locality_shape(p.n, p.h))
             .fold(0.0, f64::max)
             * shape;
         let envelope = match self.calibration_point(params.n, params.h) {
             Some(point) => {
                 let measured = point.max_locality as f64;
-                if self.kind.crs_variant_traffic() {
+                if self.spec.committee_traffic {
                     measured.max(fitted)
                 } else {
                     measured
@@ -526,7 +571,7 @@ fn parse_curves(text: &str) -> BTreeMap<ProtocolKind, BudgetCurve> {
         };
         map.entry(kind)
             .or_insert_with(|| BudgetCurve {
-                kind,
+                spec: kind.spec(),
                 points: Vec::new(),
             })
             .points
@@ -553,21 +598,21 @@ mod tests {
 
     #[test]
     fn names_are_unique_and_stable() {
-        let names: std::collections::BTreeSet<&str> =
-            ProtocolKind::ALL.iter().map(|k| k.name()).collect();
-        assert_eq!(names.len(), ProtocolKind::ALL.len());
+        // Pinned in `ALL` order, so a swapped table row fails here even
+        // though it would still round-trip through `from_name`.
+        let names: Vec<&str> = ProtocolKind::ALL.iter().map(|k| k.name()).collect();
+        assert_eq!(
+            names,
+            [
+                "thm1-mpc",
+                "thm2-local-mpc",
+                "thm4-tradeoff",
+                "broadcast",
+                "all-to-all",
+                "unchecked-sum"
+            ]
+        );
         assert_eq!(ProtocolKind::Theorem1Mpc.to_string(), "thm1-mpc");
-        assert!(ProtocolKind::Theorem1Mpc.paper_ref().contains("Theorem 1"));
-    }
-
-    #[test]
-    fn only_the_negative_control_skips_equivocation_detection() {
-        for kind in ProtocolKind::ALL {
-            assert_eq!(
-                kind.detects_equivocation(),
-                kind != ProtocolKind::UncheckedSum
-            );
-        }
     }
 
     #[test]
@@ -609,23 +654,41 @@ mod tests {
         assert!(ProtocolKind::Theorem2LocalMpc.comm_budget_bits(&e2, 2) > 939_665_664);
         let e3 = ProtocolParams::new(64, 48);
         assert!(ProtocolKind::Theorem4Tradeoff.comm_budget_bits(&e3, 2) > 68_627_744);
+        // The legacy budgets (constant × shape) keep the hand formulas'
+        // values, one point per family.
+        let legacy = [
+            (ProtocolKind::Theorem1Mpc, 16, 8, 2, 16_384_000),
+            (ProtocolKind::Theorem2LocalMpc, 8, 4, 2, 65_536_000),
+            (ProtocolKind::Theorem4Tradeoff, 8, 4, 2, 49_152_000),
+            (ProtocolKind::Broadcast, 8, 6, 32, 196_608),
+            (ProtocolKind::SuccinctAllToAll, 8, 6, 32, 393_216),
+            (ProtocolKind::UncheckedSum, 8, 6, 8, 98_304),
+        ];
+        for (kind, n, h, ell, bits) in legacy {
+            assert_eq!(
+                kind.fallback_budget_bits(&ProtocolParams::new(n, h), ell),
+                bits,
+                "{kind} at ({n}, {h}, ℓ = {ell})"
+            );
+        }
     }
 
     #[test]
     fn sweep_grids_keep_corruption_margins() {
         for kind in ProtocolKind::ALL {
-            assert!(!kind.sweep_grid().is_empty());
-            for &(n, h) in kind.sweep_grid() {
+            let spec = kind.spec();
+            assert!(!spec.sweep_grid.is_empty());
+            for &(n, h) in spec.sweep_grid {
                 assert!(h < n, "{kind}: sweep point ({n}, {h}) has no margin");
                 let margin = n - h;
-                let required = if kind.h_sensitive_traffic() { 4 } else { 2 };
+                let required = if spec.committee_traffic { 4 } else { 2 };
                 assert!(
                     margin >= required,
                     "{kind}: sweep point ({n}, {h}) margin {margin} < {required}"
                 );
             }
-            let grid = kind.calibration_grid();
-            assert!(grid.len() >= kind.sweep_grid().len());
+            let grid = spec.calibration_grid();
+            assert!(grid.len() >= spec.sweep_grid.len());
             assert_eq!(ProtocolKind::from_name(kind.name()), Some(kind));
         }
         assert_eq!(ProtocolKind::from_name("no-such-protocol"), None);
@@ -662,9 +725,9 @@ mod tests {
         assert_eq!(sum.locality_budget(&params), 7, "2×7 capped at n − 1");
         let off_grid = ProtocolParams::new(16, 14);
         assert_eq!(sum.fitted_log_exponent(), 0.0, "one point → no log fit");
-        let fitted = 4000.0 / ProtocolKind::UncheckedSum.comm_shape(8, 6, 8);
-        let shape_fit =
-            (2.0 * fitted * ProtocolKind::UncheckedSum.comm_shape(16, 14, 8)).ceil() as u64;
+        let shape = ProtocolKind::UncheckedSum.spec().comm_shape;
+        let fitted = 4000.0 / shape(8.0, 6.0, 8.0);
+        let shape_fit = (2.0 * fitted * shape(16.0, 14.0, 8.0)).ceil() as u64;
         assert_eq!(
             sum.comm_budget_bits(&off_grid, 8),
             shape_fit,
@@ -676,7 +739,7 @@ mod tests {
             "off-grid locality is the full-mesh cap"
         );
 
-        // CRS-variant: the point is floored at the grid-wide fit. The
+        // Committee traffic: the point is floored at the grid-wide fit. The
         // (8, 4) point's normalised constant (100000/16 = 6250) dominates
         // the (16, 8) one (200000/32 = 6250 — equal here), so the floor is
         // the measured value and the budget is exactly 2× measured.
@@ -702,10 +765,12 @@ mod tests {
         // the fit must recover k = 1 and the off-grid envelope must carry
         // the log factor instead of extrapolating the bare theorem shape.
         let kind = ProtocolKind::UncheckedSum;
+        let shape = kind.spec().comm_shape;
         let lines: Vec<String> = [8usize, 16, 32, 64, 128]
             .into_iter()
             .map(|n| {
-                let bits = (1000.0 * kind.comm_shape(n, n - 2, 8) * (n as f64).log2()) as u64;
+                let bits =
+                    (1000.0 * shape(n as f64, (n - 2) as f64, 8.0) * (n as f64).log2()) as u64;
                 format!(
                     "{{\"protocol\":\"unchecked-sum\",\"n\":{n},\"h\":{},\"payload_bytes\":8,\
                      \"honest_bits\":{bits},\"max_locality\":{}}}",
@@ -721,7 +786,7 @@ mod tests {
         // Off-grid at n = 256: the envelope must sit within a few percent
         // of the generating model (the envelope constant is a max over
         // near-identical per-point constants, so it cannot undershoot).
-        let model = 1000.0 * kind.comm_shape(256, 254, 8) * 8.0;
+        let model = 1000.0 * shape(256.0, 254.0, 8.0) * 8.0;
         let envelope = curve.fitted_envelope_bits(256, 254, 8);
         assert!(
             envelope >= model * 0.98 && envelope <= model * 1.10,

@@ -15,8 +15,10 @@
 //! Families whose executions mix message enums across phases (Theorem 1
 //! mixes committee-election and MPC messages; Theorem 4 adds gossip and
 //! connection messages) are framed by trying each enum's decoder in a fixed
-//! order and keeping the first that consumes the buffer exactly. The order
-//! puts the dominant enum first; tags are therefore authoritative for
+//! order and keeping the first that consumes the buffer exactly. The
+//! decoders and their order are an entry of the family's
+//! [`FamilySpec`](crate::catalog::FamilySpec) row, dominant enum first.
+//! Tags are therefore authoritative for
 //! tampering targets (a tamper only fires on an exact tag match) and
 //! best-effort for pure tracing of short ambiguous buffers.
 //!
@@ -32,7 +34,7 @@ use mpca_wire::{Frame, FrameReader, Reader, WireError};
 use crate::catalog::ProtocolKind;
 
 /// One message enum's framing attempt: decodes the full buffer or fails.
-type FrameDecoder = fn(&[u8]) -> Result<Frame, WireError>;
+pub(crate) type FrameDecoder = fn(&[u8]) -> Result<Frame, WireError>;
 
 /// Frames one encoded message of a protocol family.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,22 +54,15 @@ impl FrameSchema {
     }
 
     /// Decodes `bytes` into a [`Frame`], or `None` when no message enum of
-    /// the family consumes the buffer exactly.
+    /// the family consumes the buffer exactly. The decoders, and the order
+    /// they are tried in, come from the family's
+    /// [`FamilySpec`](crate::catalog::FamilySpec) row.
     pub fn decode(&self, bytes: &[u8]) -> Option<Frame> {
-        let attempts: &[FrameDecoder] = match self.kind {
-            ProtocolKind::Theorem1Mpc => &[frame_mpc_msg, frame_committee_msg],
-            ProtocolKind::Theorem4Tradeoff => &[
-                frame_mpc_msg,
-                frame_local_committee_msg,
-                frame_gossip_msg,
-                frame_connect_msg,
-            ],
-            ProtocolKind::Theorem2LocalMpc => &[frame_gossip_msg, frame_connect_msg],
-            ProtocolKind::Broadcast => &[frame_broadcast_msg],
-            ProtocolKind::SuccinctAllToAll => &[frame_succinct_msg],
-            ProtocolKind::UncheckedSum => &[frame_sum_value],
-        };
-        attempts.iter().find_map(|attempt| attempt(bytes).ok())
+        self.kind
+            .spec()
+            .frame_decoders
+            .iter()
+            .find_map(|attempt| attempt(bytes).ok())
     }
 
     /// The frame tag of `bytes`, when it frames.
@@ -148,7 +143,7 @@ fn challenge_fields(fr: &mut FrameReader<'_>) -> Result<(), WireError> {
 }
 
 /// `mpca_core::mpc::MpcMsg` (shared by Theorems 1 and 4).
-fn frame_mpc_msg(bytes: &[u8]) -> Result<Frame, WireError> {
+pub(crate) fn frame_mpc_msg(bytes: &[u8]) -> Result<Frame, WireError> {
     let mut fr = FrameReader::new(bytes);
     let disc: u8 = fr.field("disc", false)?;
     match disc {
@@ -195,7 +190,7 @@ fn frame_mpc_msg(bytes: &[u8]) -> Result<Frame, WireError> {
 }
 
 /// `mpca_core::committee::CommitteeMsg`.
-fn frame_committee_msg(bytes: &[u8]) -> Result<Frame, WireError> {
+pub(crate) fn frame_committee_msg(bytes: &[u8]) -> Result<Frame, WireError> {
     let mut fr = FrameReader::new(bytes);
     let disc: u8 = fr.field("disc", false)?;
     match disc {
@@ -216,7 +211,7 @@ fn frame_committee_msg(bytes: &[u8]) -> Result<Frame, WireError> {
 }
 
 /// `mpca_core::local_committee::LocalCommitteeMsg`.
-fn frame_local_committee_msg(bytes: &[u8]) -> Result<Frame, WireError> {
+pub(crate) fn frame_local_committee_msg(bytes: &[u8]) -> Result<Frame, WireError> {
     let mut fr = FrameReader::new(bytes);
     let disc: u8 = fr.field("disc", false)?;
     match disc {
@@ -236,7 +231,7 @@ fn frame_local_committee_msg(bytes: &[u8]) -> Result<Frame, WireError> {
 }
 
 /// `mpca_core::gossip::GossipMsg`.
-fn frame_gossip_msg(bytes: &[u8]) -> Result<Frame, WireError> {
+pub(crate) fn frame_gossip_msg(bytes: &[u8]) -> Result<Frame, WireError> {
     let mut fr = FrameReader::new(bytes);
     let disc: u8 = fr.field("disc", false)?;
     match disc {
@@ -254,7 +249,7 @@ fn frame_gossip_msg(bytes: &[u8]) -> Result<Frame, WireError> {
 }
 
 /// `mpca_core::sparse::ConnectMsg`.
-fn frame_connect_msg(bytes: &[u8]) -> Result<Frame, WireError> {
+pub(crate) fn frame_connect_msg(bytes: &[u8]) -> Result<Frame, WireError> {
     let mut fr = FrameReader::new(bytes);
     let disc: u8 = fr.field("disc", false)?;
     if disc != 0 {
@@ -267,7 +262,7 @@ fn frame_connect_msg(bytes: &[u8]) -> Result<Frame, WireError> {
 }
 
 /// `mpca_core::broadcast::BroadcastMsg`.
-fn frame_broadcast_msg(bytes: &[u8]) -> Result<Frame, WireError> {
+pub(crate) fn frame_broadcast_msg(bytes: &[u8]) -> Result<Frame, WireError> {
     let mut fr = FrameReader::new(bytes);
     let disc: u8 = fr.field("disc", false)?;
     match disc {
@@ -290,7 +285,7 @@ fn frame_broadcast_msg(bytes: &[u8]) -> Result<Frame, WireError> {
 }
 
 /// `mpca_core::all_to_all::SuccinctMsg`.
-fn frame_succinct_msg(bytes: &[u8]) -> Result<Frame, WireError> {
+pub(crate) fn frame_succinct_msg(bytes: &[u8]) -> Result<Frame, WireError> {
     let mut fr = FrameReader::new(bytes);
     let disc: u8 = fr.field("disc", false)?;
     match disc {
@@ -314,7 +309,7 @@ fn frame_succinct_msg(bytes: &[u8]) -> Result<Frame, WireError> {
 }
 
 /// The unchecked sum's bare little-endian `u64` value.
-fn frame_sum_value(bytes: &[u8]) -> Result<Frame, WireError> {
+pub(crate) fn frame_sum_value(bytes: &[u8]) -> Result<Frame, WireError> {
     let mut fr = FrameReader::new(bytes);
     u64_run(&mut fr, "value", 1, true)?;
     fr.finish("sum:value")

@@ -18,7 +18,7 @@
 //! | [`local_committee`] | Algorithm 7 / Claim 22 | local committee election |
 //! | [`tradeoff`] | Algorithm 8 / Theorem 4 / 19 | `Õ(n³/h^{3/2})` bits, locality `Õ(n/√h)` |
 //! | [`lower_bound`] | Theorem 3 / Appendix A | the isolation attack behind the `Ω(n²/h)` bound |
-//! | [`catalog`] | — | protocol registry hooks: [`ProtocolKind`] + paper comm budgets |
+//! | [`catalog`] | — | the family table: one [`FamilySpec`] row per [`ProtocolKind`] + paper comm budgets |
 //! | [`frames`] | — | per-protocol frame schemas: trace tagging + framing-aware tampering |
 //! | [`unchecked`] | — | verification-free sum (negative control for the scenario oracle) |
 //!
@@ -51,6 +51,6 @@ pub mod sparse;
 pub mod tradeoff;
 pub mod unchecked;
 
-pub use catalog::{BudgetCurve, CalibrationPoint, ProtocolKind, BUDGET_SLACK};
+pub use catalog::{BudgetCurve, CalibrationPoint, FamilySpec, ProtocolKind, BUDGET_SLACK};
 pub use frames::FrameSchema;
 pub use params::{ExecutionPath, ProtocolParams};

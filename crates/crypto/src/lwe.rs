@@ -220,16 +220,6 @@ impl LwePublicKey {
         }
         LweCiphertext { chunks }
     }
-
-    /// Produces an encryption of zero chunks, used to pad ciphertexts to a
-    /// common shape before homomorphic aggregation.
-    pub fn encrypt_zero_like(&self, prg: &mut Prg, chunk_count: usize) -> LweCiphertext {
-        LweCiphertext {
-            chunks: (0..chunk_count)
-                .map(|_| self.encrypt_chunk(prg, 0))
-                .collect(),
-        }
-    }
 }
 
 impl LweSecretKey {

@@ -149,56 +149,6 @@ impl Adversary for SilentAdversary {
     }
 }
 
-/// Corrupted parties that flood a set of victims with junk every round.
-///
-/// Used to check the paper's flooding rule: honest parties must abort (not
-/// misbehave, not count the junk towards the protocol's communication) when
-/// they receive more than the protocol prescribes.
-///
-/// A thin façade over an unbudgeted
-/// [`FloodBudget`](crate::combinators::FloodBudget), which is the single
-/// implementation of junk injection: the junk buffer is materialised once
-/// at construction (one allocation per run, visible in
-/// [`PayloadAllocStats`](crate::PayloadAllocStats)) and shared by every
-/// flooded envelope of every round.
-#[derive(Debug)]
-pub struct FloodAdversary {
-    inner: crate::combinators::FloodBudget,
-}
-
-impl FloodAdversary {
-    /// Corrupts `corrupted` and floods `victims` with `junk_bytes` of junk
-    /// from each corrupted party every round.
-    pub fn new(
-        corrupted: impl IntoIterator<Item = PartyId>,
-        victims: impl IntoIterator<Item = PartyId>,
-        junk_bytes: usize,
-    ) -> Self {
-        Self {
-            inner: crate::combinators::FloodBudget::new(corrupted, victims, junk_bytes),
-        }
-    }
-}
-
-impl Adversary for FloodAdversary {
-    fn corrupted(&self) -> &BTreeSet<PartyId> {
-        self.inner.corrupted()
-    }
-
-    fn on_round(
-        &mut self,
-        round: usize,
-        delivered: &BTreeMap<PartyId, Vec<Envelope>>,
-        ctx: &mut AdversaryCtx,
-    ) {
-        self.inner.on_round(round, delivered, ctx);
-    }
-
-    fn observe_milestones(&mut self, round: usize, milestones: &[MilestoneEvent]) {
-        self.inner.observe_milestones(round, milestones);
-    }
-}
-
 /// The envelope-rewrite hook type of a [`ProxyAdversary`]: given the round
 /// and an envelope produced by the honest logic, returns the envelopes to
 /// actually send (empty drops the message).
@@ -299,6 +249,7 @@ impl<L: PartyLogic + Send> Adversary for ProxyAdversary<L> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::combinators::FloodBudget;
 
     #[test]
     fn adversary_ctx_collects() {
@@ -337,8 +288,8 @@ mod tests {
     }
 
     #[test]
-    fn flood_adversary_sends_junk() {
-        let mut adv = FloodAdversary::new([PartyId(0)], [PartyId(1), PartyId(2)], 16);
+    fn flood_sends_junk() {
+        let mut adv = FloodBudget::new([PartyId(0)], [PartyId(1), PartyId(2)], 16);
         let mut ctx = AdversaryCtx::new();
         adv.on_round(0, &BTreeMap::new(), &mut ctx);
         let out = ctx.take_outgoing();
@@ -347,7 +298,7 @@ mod tests {
     }
 
     #[test]
-    fn flood_adversary_materialises_junk_once_per_run() {
+    fn flood_materialises_junk_once_per_run() {
         use crate::payload::PayloadAllocStats;
 
         // The counters are process-wide, so the delta below races with
@@ -358,7 +309,7 @@ mod tests {
         let junk_bytes = 16 << 20;
         let rounds = 8usize;
         let before = PayloadAllocStats::snapshot();
-        let mut adv = FloodAdversary::new([PartyId(0)], [PartyId(1), PartyId(2)], junk_bytes);
+        let mut adv = FloodBudget::new([PartyId(0)], [PartyId(1), PartyId(2)], junk_bytes);
         let mut envelopes = Vec::new();
         for round in 0..rounds {
             let mut ctx = AdversaryCtx::new();

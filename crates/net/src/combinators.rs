@@ -368,7 +368,11 @@ impl Adversary for Equivocate {
 
 /// Flooding with a budget: every corrupted party sends `junk_bytes` of junk
 /// to every victim each round, for at most `round_budget` **active** rounds
-/// and at most `byte_budget` total junk bytes.
+/// and at most `byte_budget` total junk bytes (both unbounded by default).
+///
+/// Used to check the paper's flooding rule: honest parties must abort (not
+/// misbehave, not count the junk towards the protocol's communication) when
+/// they receive more than the protocol prescribes.
 ///
 /// Budgets are charged only when the flood actually runs a round — not
 /// against absolute round numbers — so a flood that spends its early rounds
@@ -377,8 +381,7 @@ impl Adversary for Equivocate {
 ///
 /// The junk buffer is materialised **once at construction** and shared by
 /// every flooded envelope of every round (see
-/// [`PayloadAllocStats`](crate::PayloadAllocStats)); an unbounded variant of
-/// this strategy is [`FloodAdversary`](crate::FloodAdversary).
+/// [`PayloadAllocStats`](crate::PayloadAllocStats)).
 #[derive(Debug)]
 pub struct FloodBudget {
     corrupted: BTreeSet<PartyId>,
@@ -391,8 +394,8 @@ pub struct FloodBudget {
 }
 
 impl FloodBudget {
-    /// An unbounded flood (equivalent to
-    /// [`FloodAdversary`](crate::FloodAdversary)).
+    /// An unbounded flood: `corrupted` floods `victims` with `junk_bytes`
+    /// of junk from each corrupted party every round.
     pub fn new(
         corrupted: impl IntoIterator<Item = PartyId>,
         victims: impl IntoIterator<Item = PartyId>,
@@ -582,7 +585,7 @@ impl Adversary for TriggerWhen {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adversary::{FloodAdversary, SilentAdversary};
+    use crate::adversary::SilentAdversary;
 
     /// A scripted adversary for testing the wrappers: sends a fixed byte
     /// from every corrupted party to every listed recipient each round.
@@ -715,7 +718,7 @@ mod tests {
     fn compose_unions_disjoint_corruption_sets() {
         let mut adv = Compose::new(
             Scripted::new(&[0], &[5], 1),
-            Box::new(FloodAdversary::new([PartyId(1)], [PartyId(5)], 4)),
+            Box::new(FloodBudget::new([PartyId(1)], [PartyId(5)], 4)),
         );
         assert_eq!(adv.corrupted().len(), 2);
         let out = run_round(&mut adv, 0);

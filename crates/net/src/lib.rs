@@ -45,9 +45,7 @@ pub mod simulator;
 pub mod stats;
 pub mod trace;
 
-pub use adversary::{
-    Adversary, AdversaryCtx, FloodAdversary, NoAdversary, ProxyAdversary, SilentAdversary,
-};
+pub use adversary::{Adversary, AdversaryCtx, NoAdversary, ProxyAdversary, SilentAdversary};
 pub use combinators::{
     sample_corruption, AbortAt, Compose, Equivocate, FloodBudget, FrameRewriter, TriggerPredicate,
     TriggerWhen, Withhold,
@@ -65,4 +63,4 @@ pub use simulator::{
     SimConfig, Simulator,
 };
 pub use stats::CommStats;
-pub use trace::{TraceEvent, TraceLog, TraceSink};
+pub use trace::{TraceEvent, TraceLog};

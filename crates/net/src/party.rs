@@ -291,14 +291,6 @@ pub enum SendOp {
 }
 
 impl SendOp {
-    /// Number of envelopes this operation expands to.
-    pub fn envelope_count(&self) -> usize {
-        match self {
-            SendOp::Single(_) => 1,
-            SendOp::FanOut { recipients, .. } => recipients.len(),
-        }
-    }
-
     /// Expands the operation into per-recipient envelopes, in send order.
     pub fn expand_into(self, out: &mut Vec<Envelope>) {
         match self {

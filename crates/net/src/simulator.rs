@@ -819,7 +819,8 @@ fn release_plane(mut plane: Vec<Vec<Envelope>>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adversary::{FloodAdversary, NoAdversary, ProxyAdversary, SilentAdversary};
+    use crate::adversary::{NoAdversary, ProxyAdversary, SilentAdversary};
+    use crate::combinators::FloodBudget;
 
     /// A toy protocol: every party sends its value to everyone in round 0,
     /// and in round 1 outputs the sum of all received values plus its own.
@@ -920,7 +921,7 @@ mod tests {
         let n = 4;
         let corrupted: BTreeSet<PartyId> = [PartyId(3)].into_iter().collect();
         // 16-byte junk payloads fail to parse as the protocol's u64 values.
-        let adversary = FloodAdversary::new(corrupted.clone(), PartyId::all(n - 1), 16);
+        let adversary = FloodBudget::new(corrupted.clone(), PartyId::all(n - 1), 16);
         let sim = Simulator::new(
             n,
             sum_parties(n, &corrupted),
@@ -1098,7 +1099,7 @@ mod tests {
     fn adversary_bytes_not_counted_by_default() {
         let n = 3;
         let corrupted: BTreeSet<PartyId> = [PartyId(2)].into_iter().collect();
-        let adversary = FloodAdversary::new(corrupted.clone(), [PartyId(0)], 1_000);
+        let adversary = FloodBudget::new(corrupted.clone(), [PartyId(0)], 1_000);
         let sim = Simulator::new(
             n,
             sum_parties(n, &corrupted),

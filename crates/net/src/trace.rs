@@ -14,10 +14,11 @@
 //! it).
 //!
 //! This module is deliberately minimal — the raw stream plus the accessors
-//! other layers rebuild statistics from. Frame tagging, digests and the
-//! record/replay file format live in the `mpca-trace` crate, which sits
-//! above the protocol catalog and therefore knows the per-protocol frame
-//! schemas.
+//! other layers rebuild statistics from. Consumers read a finished
+//! [`TraceLog`]; frame tagging, digests and the record/replay file format
+//! live in the `mpca-trace` crate, which sits above the protocol catalog
+//! and therefore knows the per-protocol frame schemas, and the
+//! `mpca-predicate` rules scan its tagged view.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -46,20 +47,6 @@ pub enum TraceEvent {
     },
     /// A party reached a protocol phase (or terminated).
     Milestone(MilestoneEvent),
-}
-
-/// A streaming observer of trace events — the hook the predicate plane
-/// attaches to an event stream.
-///
-/// Implementors receive each event **with its stream index** in recording
-/// order, which is exactly the order the simulator merges rounds in — so a
-/// sink driven live sees the same sequence a post-hoc
-/// [`TraceLog::stream_into`] replay delivers, and single-pass evaluators
-/// (the `mpca-predicate` compiled predicates) work unchanged over recorded
-/// and live traces.
-pub trait TraceSink {
-    /// Observes the event at stream position `index`.
-    fn on_event(&mut self, index: usize, event: &TraceEvent);
 }
 
 /// The recorded event stream of one session, in simulator merge order.
@@ -116,15 +103,6 @@ impl TraceLog {
     /// `true` when nothing was recorded.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
-    }
-
-    /// Replays the recorded stream into `sink`, one
-    /// [`TraceSink::on_event`] call per event in recording order — the
-    /// post-hoc way to drive the same hooks a live evaluation would see.
-    pub fn stream_into<S: TraceSink + ?Sized>(&self, sink: &mut S) {
-        for (index, event) in self.events.iter().enumerate() {
-            sink.on_event(index, event);
-        }
     }
 
     /// The milestone events, in order.

@@ -58,8 +58,8 @@ pub enum RoundRule {
     EnvelopesAtMost(u64),
 }
 
-/// A trace predicate: the combinator language compiled to single-pass
-/// evaluators by [`Predicate::compile`].
+/// A trace predicate: the combinator language, compiled to a single-pass
+/// evaluator by [`Predicate::eval`].
 ///
 /// Leaves observe the tagged entry stream; combinators compose outcomes.
 /// Every leaf latches its **first** violation, so evaluation order (and
@@ -75,7 +75,7 @@ pub enum Predicate {
     /// copy to the first differing one: the equivocation witness pair.
     BroadcastConsistency {
         /// The frame tags the family replicates verbatim (see
-        /// [`consistency_tags`](crate::consistency_tags)).
+        /// [`FamilySpec::consistency_tags`](mpca_core::FamilySpec::consistency_tags)).
         tags: Vec<&'static str>,
     },
     /// Bytes charged to `phase` under the `PhaseLedger` rules (monotone
@@ -129,7 +129,7 @@ impl Predicate {
     /// `charges_adversary_bytes` is the recording execution's charging
     /// flag; it parameterises the charging-sensitive leaves exactly as
     /// [`TaggedTrace::charges_adversary_bytes`] does for a recorded trace.
-    pub fn compile(&self, charges_adversary_bytes: bool) -> Evaluator {
+    pub(crate) fn compile(&self, charges_adversary_bytes: bool) -> Evaluator {
         Evaluator::new(self, charges_adversary_bytes)
     }
 

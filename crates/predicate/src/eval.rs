@@ -13,12 +13,11 @@ use crate::ast::{PartyRule, Predicate, RoundRule, Span, Violation};
 /// time (in stream order), then [`finish`](Evaluator::finish)ed for the
 /// outcome.
 ///
-/// Feeding is O(leaves) per entry with latched first violations, so an
-/// evaluator is safe to leave attached to whole campaign sweeps. The same
-/// machine serves recorded traces ([`Predicate::eval`]) and live streams
-/// ([`LiveEvaluator`](crate::LiveEvaluator)).
+/// Feeding is O(leaves) per entry with latched first violations, so one
+/// scan of a recorded trace ([`Predicate::eval`]) evaluates the whole
+/// predicate.
 #[derive(Debug, Clone)]
-pub struct Evaluator {
+pub(crate) struct Evaluator {
     root: Node,
     charges_adversary_bytes: bool,
     fed: usize,
@@ -34,19 +33,14 @@ impl Evaluator {
     }
 
     /// Observes the next entry of the stream.
-    pub fn feed(&mut self, entry: &TaggedEntry) {
+    pub(crate) fn feed(&mut self, entry: &TaggedEntry) {
         let index = self.fed;
         self.fed += 1;
         self.root.feed(index, entry, self.charges_adversary_bytes);
     }
 
-    /// Number of entries fed so far.
-    pub fn fed(&self) -> usize {
-        self.fed
-    }
-
     /// The outcome over everything fed: `None` when the predicate holds.
-    pub fn finish(self) -> Option<Violation> {
+    pub(crate) fn finish(self) -> Option<Violation> {
         self.root.outcome(self.fed)
     }
 }

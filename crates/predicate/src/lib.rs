@@ -2,8 +2,8 @@
 //!
 //! The **trace-predicate language**: a small combinator algebra over
 //! [`TaggedTrace`](mpca_trace::TaggedTrace) streams, compiled to
-//! single-pass evaluators that run over recorded *or* live traces and
-//! report the first violating event span.
+//! single-pass evaluators that scan a recorded trace once and report the
+//! first violating event span.
 //!
 //! The paper's security claims — agreement-or-abort, identified abort, the
 //! Theorem 3 flooding rule, per-phase byte budgets — are claims *about the
@@ -25,12 +25,10 @@
 //!   [`Predicate::ForAllRounds`]) and the boolean closure
 //!   ([`Predicate::All`], [`Predicate::Any`], [`Predicate::Not`]).
 //!
-//! Compilation ([`Predicate::compile`]) produces an [`Evaluator`] — a
-//! streaming machine fed one [`TaggedEntry`](mpca_trace::TaggedEntry) at a
-//! time. The recorded path ([`Predicate::eval`]) and the live path
-//! ([`LiveEvaluator`], a [`TraceSink`](mpca_net::TraceSink)) drive the same
-//! machine, so their outcomes are identical by construction — a property
-//! `tests/proptest_predicates.rs` pins over every protocol family.
+//! [`Predicate::eval`] compiles a predicate into a streaming machine and
+//! feeds it every [`TaggedEntry`](mpca_trace::TaggedEntry) of the trace
+//! once, in stream order; [`eval_set`] evaluates a named set, predicate by
+//! predicate.
 //!
 //! A violation is reported as the **first violating event span**
 //! ([`Violation`]): the inclusive `[start, end]` window of stream indices
@@ -40,22 +38,19 @@
 //!
 //! [`standard_set`] bundles the rules every conforming execution must
 //! satisfy; [`full_set`] adds the broadcast-consistency rule for the
-//! family's replicated frame tags. The `mpca-scenario` oracle evaluates the
-//! standard set as its `P` property, and `campaign --search` uses the
-//! violated-name vector as a coverage signal.
+//! family's replicated frame tags. Which families get the
+//! detection-in-verification rule, and which tags are replicated, are
+//! fields of the family's [`FamilySpec`](mpca_core::FamilySpec) row. The
+//! `mpca-scenario` oracle evaluates the standard set as its `P` property,
+//! and `campaign --search` uses the violated-name vector as a coverage
+//! signal.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 mod ast;
 mod eval;
-mod live;
 mod set;
 
 pub use ast::{PartyRule, Predicate, RoundRule, Span, Violation};
-pub use eval::Evaluator;
-pub use live::LiveEvaluator;
-pub use set::{
-    consistency_tags, eval_set, full_set, standard_set, verification_is_sole_detector,
-    NamedPredicate, SetViolation,
-};
+pub use set::{eval_set, full_set, standard_set, NamedPredicate, SetViolation};

@@ -27,49 +27,15 @@ pub struct SetViolation {
     pub violation: Violation,
 }
 
-/// The frame tags a family replicates **verbatim** to several recipients —
-/// the tags [`Predicate::BroadcastConsistency`] may quantify over without
-/// false positives. Tags with legitimate per-recipient variation
-/// (key-generation shares, gossip rumours relaying distinct sources) are
-/// deliberately absent; Theorem 2's local protocol replicates nothing
-/// verbatim.
-pub fn consistency_tags(kind: ProtocolKind) -> Vec<&'static str> {
-    match kind {
-        ProtocolKind::Theorem1Mpc | ProtocolKind::Theorem4Tradeoff => {
-            vec!["mpc:input-ct", "mpc:output"]
-        }
-        ProtocolKind::Theorem2LocalMpc => vec![],
-        ProtocolKind::Broadcast => vec!["bcast:send"],
-        ProtocolKind::SuccinctAllToAll => vec!["a2a:input"],
-        ProtocolKind::UncheckedSum => vec!["sum:value"],
-    }
-}
-
-/// `true` for the families where a misbehaviour-detection abort
-/// ([`Predicate::DetectionAbortImpliesVerification`]) can **only** arise
-/// from the announced verification phase. The committee-based theorem
-/// families legitimately detect earlier — their committee-election
-/// equality tests and share-forwarding cross-checks run (and abort) before
-/// any `VerificationStart` milestone — so the rule is not an invariant
-/// there.
-pub fn verification_is_sole_detector(kind: ProtocolKind) -> bool {
-    match kind {
-        ProtocolKind::Broadcast | ProtocolKind::SuccinctAllToAll | ProtocolKind::UncheckedSum => {
-            true
-        }
-        ProtocolKind::Theorem1Mpc
-        | ProtocolKind::Theorem2LocalMpc
-        | ProtocolKind::Theorem4Tradeoff => false,
-    }
-}
-
 /// The rules every conforming execution of `kind` satisfies: frame
 /// legality, termination silence, phase monotonicity, the flooding rule,
 /// and — for the families where verification is the only detection
-/// mechanism ([`verification_is_sole_detector`]) —
-/// detection-in-verification. With `phase_budget`, adds a uniform
-/// per-phase byte ceiling (one [`Predicate::PhaseCeiling`] per phase under
-/// one `"phase-ceilings"` name).
+/// mechanism (the
+/// [`verification_is_sole_detector`](mpca_core::FamilySpec::verification_is_sole_detector)
+/// flag of the family's row) — detection-in-verification. With
+/// `phase_budget`, adds a uniform per-phase byte ceiling (one
+/// [`Predicate::PhaseCeiling`] per phase under one `"phase-ceilings"`
+/// name).
 ///
 /// This is the set the scenario oracle evaluates as its `P` property.
 pub fn standard_set(kind: ProtocolKind, phase_budget: Option<u64>) -> Vec<NamedPredicate> {
@@ -83,7 +49,7 @@ pub fn standard_set(kind: ProtocolKind, phase_budget: Option<u64>) -> Vec<NamedP
             predicate: Predicate::NoSendAfterTermination,
         },
     ];
-    if verification_is_sole_detector(kind) {
+    if kind.spec().verification_is_sole_detector {
         set.push(NamedPredicate {
             name: "detection-abort-implies-verification",
             predicate: Predicate::DetectionAbortImpliesVerification,
@@ -116,16 +82,19 @@ pub fn standard_set(kind: ProtocolKind, phase_budget: Option<u64>) -> Vec<NamedP
     set
 }
 
-/// [`standard_set`] plus the family's broadcast-consistency rule (when the
+/// [`standard_set`] plus the family's broadcast-consistency rule over its
+/// [`consistency_tags`](mpca_core::FamilySpec::consistency_tags) (when the
 /// family replicates any tag verbatim) — the set `campaign --search` uses
 /// as its coverage signal.
 pub fn full_set(kind: ProtocolKind, phase_budget: Option<u64>) -> Vec<NamedPredicate> {
     let mut set = standard_set(kind, phase_budget);
-    let tags = consistency_tags(kind);
+    let tags = kind.spec().consistency_tags;
     if !tags.is_empty() {
         set.push(NamedPredicate {
             name: "broadcast-consistency",
-            predicate: Predicate::BroadcastConsistency { tags },
+            predicate: Predicate::BroadcastConsistency {
+                tags: tags.to_vec(),
+            },
         });
     }
     set

@@ -116,7 +116,6 @@ impl Counterexample {
             kind: self.kind,
             n: self.n,
             h: self.h,
-            path: mpca_core::ExecutionPath::Concrete,
             adversary: self.adversary.clone(),
             seed: self.seed,
             charge_adversary_bytes: self.charge_adversary_bytes,
@@ -204,7 +203,10 @@ impl Counterexample {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first malformed line or field.
+    /// Returns a description of the first malformed line or field —
+    /// including a scenario that does not fit its grid point (`h` of 0 or
+    /// above `n`, a party index of `n` or more, more than `n - h`
+    /// corrupted parties), which would otherwise only fail at replay time.
     pub fn parse(text: &str) -> Result<Self, String> {
         let mut lines = text.lines().filter(|l| !l.trim().is_empty());
         let mut next_line = |what: &str| {
@@ -238,13 +240,22 @@ impl Counterexample {
             .filter(|name| !name.is_empty())
             .map(String::from)
             .collect();
+        let n = u64_of(&scenario, "n")? as usize;
+        let h = u64_of(&scenario, "h")? as usize;
+        if h == 0 || h > n {
+            return Err(format!("field 'h': want 1 <= h <= n = {n}, got {h}"));
+        }
+        let adversary = parse_spec(&text_of(&scenario, "adversary")?)?;
+        adversary
+            .check_fits(n, h)
+            .map_err(|e| format!("field 'adversary': {e}"))?;
         Ok(Self {
             label: text_of(&header, "label")?,
             kind,
-            n: u64_of(&scenario, "n")? as usize,
-            h: u64_of(&scenario, "h")? as usize,
+            n,
+            h,
             seed: u64_of(&scenario, "seed")?,
-            adversary: parse_spec(&text_of(&scenario, "adversary")?)?,
+            adversary,
             charge_adversary_bytes: scenario
                 .get("charge")
                 .and_then(Json::as_bool)
@@ -265,7 +276,7 @@ impl Counterexample {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::CorruptionSpec;
+    use crate::spec::{CorruptionSpec, TriggerSpec};
 
     fn sample() -> Counterexample {
         Counterexample {
@@ -317,6 +328,72 @@ mod tests {
         let cex = sample();
         let missing_result: String = cex.render().lines().take(2).collect::<Vec<_>>().join("\n");
         assert!(Counterexample::parse(&missing_result).is_err());
+    }
+
+    #[test]
+    fn scenarios_that_do_not_fit_their_grid_point_are_rejected() {
+        // The checked-in counterexample with a victim index past n (the
+        // registry would panic on it at replay) and with h above n (which
+        // replayed clean, because h does not shape that family's traffic).
+        let golden =
+            include_str!("../../../tests/counterexamples/srch-all-to-all-flood-n8-h6-989aa76f.cex");
+        assert!(Counterexample::parse(golden).is_ok());
+        let victim = golden.replace("victims=;", "victims=9;");
+        let err = Counterexample::parse(&victim).unwrap_err();
+        assert!(
+            err.contains("'adversary'") && err.contains("victims"),
+            "{err}"
+        );
+        let err = Counterexample::parse(&golden.replace("\"h\":6", "\"h\":12")).unwrap_err();
+        assert!(err.contains("'h'"), "{err}");
+
+        let reject = |edit: fn(&mut Counterexample), field: &str| {
+            let mut cex = sample();
+            edit(&mut cex);
+            let err = Counterexample::parse(&cex.render()).unwrap_err();
+            assert!(err.contains(field), "{err} should name {field}");
+        };
+        reject(|c| c.h = 0, "'h'");
+        reject(
+            |c| {
+                c.adversary = AdversarySpec::Equivocate {
+                    corrupt: CorruptionSpec::Explicit(vec![8]),
+                    victims: vec![1],
+                }
+            },
+            "corrupt: party index 8",
+        );
+        reject(
+            |c| {
+                c.adversary = AdversarySpec::Silent {
+                    corrupt: CorruptionSpec::Seeded { count: 2 },
+                }
+            },
+            "corrupts 2 parties",
+        );
+        reject(
+            |c| {
+                c.adversary = AdversarySpec::Triggered {
+                    base: Box::new(AdversarySpec::Withhold {
+                        corrupt: CorruptionSpec::Explicit(vec![0]),
+                        recipients: vec![1, 8],
+                    }),
+                    trigger: TriggerSpec::AtRound(1),
+                }
+            },
+            "recipients: party index 8",
+        );
+        reject(
+            |c| {
+                c.adversary = AdversarySpec::Triggered {
+                    base: Box::new(AdversarySpec::Silent {
+                        corrupt: CorruptionSpec::Explicit(vec![0]),
+                    }),
+                    trigger: TriggerSpec::MessageFrom(8),
+                }
+            },
+            "trigger: party index 8",
+        );
     }
 
     #[test]

@@ -16,7 +16,7 @@
 
 use std::collections::BTreeSet;
 
-use mpca_core::{ExecutionPath, ProtocolKind, ProtocolParams};
+use mpca_core::{ProtocolKind, ProtocolParams};
 use mpca_crypto::lwe::LweParams;
 use mpca_engine::{ExecutionBackend, SessionPool};
 use mpca_net::{NetError, PartyId};
@@ -86,8 +86,6 @@ pub struct ScenarioPlan {
     pub kind: ProtocolKind,
     /// The `(n, h)` grid points; one scenario per point.
     pub grid: Vec<(usize, usize)>,
-    /// Execution path for the MPC families (ignored by the rest).
-    pub path: ExecutionPath,
     /// The adversary class.
     pub adversary: AdversarySpec,
     /// Seed for corruption sampling, inputs and CRS labels.
@@ -102,13 +100,12 @@ pub struct ScenarioPlan {
 
 impl ScenarioPlan {
     /// A plan with the given name, protocol and adversary; defaults:
-    /// empty grid, `Concrete` path, seed 0, expectation [`Expectation::Holds`].
+    /// empty grid, seed 0, expectation [`Expectation::Holds`].
     pub fn new(name: impl Into<String>, kind: ProtocolKind, adversary: AdversarySpec) -> Self {
         Self {
             name: name.into(),
             kind,
             grid: Vec::new(),
-            path: ExecutionPath::Concrete,
             adversary,
             seed: 0,
             charge_adversary_bytes: false,
@@ -125,12 +122,6 @@ impl ScenarioPlan {
     /// Sets the seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Sets the execution path.
-    pub fn with_path(mut self, path: ExecutionPath) -> Self {
-        self.path = path;
         self
     }
 
@@ -163,7 +154,6 @@ impl ScenarioPlan {
                     kind: self.kind,
                     n,
                     h,
-                    path: self.path,
                     adversary: self.adversary.clone(),
                     seed: self.seed,
                     charge_adversary_bytes: self.charge_adversary_bytes,
@@ -192,8 +182,6 @@ pub struct Scenario {
     pub n: usize,
     /// Guaranteed honest parties.
     pub h: usize,
-    /// Execution path for the MPC families.
-    pub path: ExecutionPath,
     /// The adversary class.
     pub adversary: AdversarySpec,
     /// Seed for corruption sampling, inputs and CRS labels.
@@ -218,21 +206,6 @@ impl Scenario {
             plaintext_modulus: 1 << 16,
             ..LweParams::toy()
         })
-    }
-
-    /// The per-party payload length ℓ in bytes the scenario's workload uses
-    /// (feeds the [`comm_budget_bits`](ProtocolKind::comm_budget_bits)
-    /// check).
-    pub fn payload_bytes(&self) -> usize {
-        match self.kind {
-            ProtocolKind::Theorem1Mpc
-            | ProtocolKind::Theorem2LocalMpc
-            | ProtocolKind::Theorem4Tradeoff => 2,
-            ProtocolKind::Broadcast | ProtocolKind::SuccinctAllToAll => {
-                registry::SCENARIO_MESSAGE_BYTES
-            }
-            ProtocolKind::UncheckedSum => 8,
-        }
     }
 }
 
@@ -305,25 +278,11 @@ impl Campaign {
         self.run_configured(backend, workers, true, true, |_| {})
     }
 
-    /// [`run`](Self::run) with a per-session progress observer (see
-    /// [`SessionPool::with_progress`]) — sweep-scale campaigns use it to
-    /// narrate hundreds of sessions while the batch executes.
-    pub fn run_with_progress<B, F>(
-        &self,
-        backend: B,
-        workers: usize,
-        progress: F,
-    ) -> Result<CampaignReport, NetError>
-    where
-        B: ExecutionBackend,
-        F: Fn(mpca_engine::SessionProgress) + Send + Sync + 'static,
-    {
-        self.run_configured(backend, workers, false, false, progress)
-    }
-
     /// The fully configured run: backend, workers, tracing, full-stream
     /// retention (`retain_logs`, which gives the oracle's trace-predicate
-    /// property a stream to evaluate — requires `traced`), progress.
+    /// property a stream to evaluate — requires `traced`), and a
+    /// per-session progress observer (see [`SessionPool::with_progress`];
+    /// the CLI narrates sweep-scale campaigns with it).
     pub fn run_configured<B, F>(
         &self,
         backend: B,
@@ -638,7 +597,8 @@ fn build_sweep(seed: u64, tiny: bool) -> Campaign {
     let mut campaign = Campaign::new(if tiny { "sweep-tiny" } else { "sweep" });
     for kind in ProtocolKind::ALL {
         let grid: Vec<(usize, usize)> = kind
-            .sweep_grid()
+            .spec()
+            .sweep_grid
             .iter()
             .copied()
             .filter(|&(n, _)| !tiny || n <= 12)
@@ -758,9 +718,9 @@ fn build_sweep(seed: u64, tiny: bool) -> Campaign {
 
 /// The **sweep** campaign: `ProtocolKind::ALL` cross-producted with the
 /// per-family seeded adversary classes over the widened
-/// [`sweep_grid`](ProtocolKind::sweep_grid)s — 150+ scenarios streamed
-/// through one [`SessionPool`] batch — plus the two rigged controls the
-/// oracle must flag. `campaign --sweep` runs it from the CLI and the
+/// [`sweep_grid`](mpca_core::FamilySpec::sweep_grid)s — 150+ scenarios
+/// streamed through one [`SessionPool`] batch — plus the two rigged
+/// controls the oracle must flag. `campaign --sweep` runs it from the CLI and the
 /// `E16-sweep` experiment records its wall-clock and throughput in
 /// `BENCH_results.json`.
 pub fn sweep_campaign(seed: u64) -> Campaign {
@@ -870,7 +830,7 @@ mod tests {
         for kind in ProtocolKind::ALL {
             let of_kind: Vec<_> = scenarios.iter().filter(|s| s.kind == kind).collect();
             assert!(
-                of_kind.len() >= kind.sweep_grid().len() * 3,
+                of_kind.len() >= kind.spec().sweep_grid.len() * 3,
                 "{kind}: expected at least 3 classes x grid, got {}",
                 of_kind.len()
             );

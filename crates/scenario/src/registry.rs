@@ -13,7 +13,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use mpca_core::{
-    all_to_all, broadcast, local_mpc, mpc, tradeoff, unchecked, FrameSchema, ProtocolKind,
+    all_to_all, broadcast, local_mpc, mpc, tradeoff, unchecked, ExecutionPath, FrameSchema,
+    ProtocolKind,
 };
 use mpca_encfunc::Functionality;
 use mpca_engine::{ExecutionBackend, SessionPool, SessionTask};
@@ -33,6 +34,10 @@ pub const SCENARIO_MESSAGE_BYTES: usize = 32;
 /// The broadcast scenarios' designated sender (corrupting party 0 therefore
 /// corrupts the sender).
 pub const BROADCAST_SENDER: PartyId = PartyId(0);
+
+/// Input length ℓ in bytes of the MPC scenario workloads: one 16-bit
+/// summand per party.
+const SUM_INPUT_BYTES: usize = std::mem::size_of::<u16>();
 
 /// The deterministic 16-bit values the MPC scenario workloads sum.
 fn sum_values(n: usize, seed: u64) -> Vec<u16> {
@@ -82,8 +87,10 @@ pub fn scenario_task<B: ExecutionBackend>(scenario: &Scenario) -> SessionTask<B>
             let crs = CommonRandomString::from_label(&crs_label(&sc));
             let parties = mpc::mpc_parties(
                 &params,
-                &Functionality::Sum { input_bytes: 2 },
-                sc.path,
+                &Functionality::Sum {
+                    input_bytes: SUM_INPUT_BYTES,
+                },
+                ExecutionPath::Concrete,
                 &inputs,
                 crs,
                 None,
@@ -97,7 +104,9 @@ pub fn scenario_task<B: ExecutionBackend>(scenario: &Scenario) -> SessionTask<B>
             let crs = CommonRandomString::from_label(&crs_label(&sc));
             let parties = local_mpc::local_mpc_parties(
                 &params,
-                &Functionality::Sum { input_bytes: 2 },
+                &Functionality::Sum {
+                    input_bytes: SUM_INPUT_BYTES,
+                },
                 &inputs,
                 crs,
                 &skip_construction(&sc),
@@ -110,8 +119,10 @@ pub fn scenario_task<B: ExecutionBackend>(scenario: &Scenario) -> SessionTask<B>
             let crs = CommonRandomString::from_label(&crs_label(&sc));
             let parties = tradeoff::tradeoff_parties(
                 &params,
-                &Functionality::Sum { input_bytes: 2 },
-                sc.path,
+                &Functionality::Sum {
+                    input_bytes: SUM_INPUT_BYTES,
+                },
+                ExecutionPath::Concrete,
                 &inputs,
                 crs,
                 None,
@@ -144,6 +155,21 @@ pub fn scenario_task<B: ExecutionBackend>(scenario: &Scenario) -> SessionTask<B>
             let parties = unchecked::unchecked_sum_parties(&values, &skip_construction(&sc));
             finish(&sc, parties)
         }),
+    }
+}
+
+impl Scenario {
+    /// The per-party payload length ℓ in bytes of the inputs
+    /// [`scenario_task`] builds for this scenario (feeds the
+    /// [`comm_budget_bits`](ProtocolKind::comm_budget_bits) check).
+    pub fn payload_bytes(&self) -> usize {
+        match self.kind {
+            ProtocolKind::Theorem1Mpc
+            | ProtocolKind::Theorem2LocalMpc
+            | ProtocolKind::Theorem4Tradeoff => SUM_INPUT_BYTES,
+            ProtocolKind::Broadcast | ProtocolKind::SuccinctAllToAll => SCENARIO_MESSAGE_BYTES,
+            ProtocolKind::UncheckedSum => std::mem::size_of::<u64>(),
+        }
     }
 }
 

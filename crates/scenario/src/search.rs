@@ -170,7 +170,6 @@ impl Candidate {
             kind: self.kind,
             n: self.n,
             h: self.h,
-            path: mpca_core::ExecutionPath::Concrete,
             adversary: self.adversary.clone(),
             seed,
             charge_adversary_bytes: self.charge,
@@ -435,7 +434,8 @@ fn expected_violations(candidate: &Candidate, rig: Option<Rig>) -> BTreeSet<&'st
 
 /// The grid points a candidate of `kind` may mutate or shrink onto.
 fn grid_points(kind: ProtocolKind, tiny: bool) -> Vec<(usize, usize)> {
-    kind.sweep_grid()
+    kind.spec()
+        .sweep_grid
         .iter()
         .copied()
         .filter(|&(n, _)| !tiny || n <= 12)

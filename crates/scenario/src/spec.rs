@@ -291,6 +291,54 @@ impl AdversarySpec {
         (a_set, b_set)
     }
 
+    /// Checks that the spec fits an `n`-party scenario with `h` guaranteed
+    /// honest parties: it corrupts at most `n - h` parties, and every
+    /// explicit party index (`corrupt`, `victims`, `recipients`, a
+    /// `from<p>` trigger) is below `n`. The error names the offending
+    /// field. Plan expansion and the registry assert the same conditions;
+    /// this is the non-panicking check for specs read from files.
+    pub(crate) fn check_fits(&self, n: usize, h: usize) -> Result<(), String> {
+        let count = self.corruption_count();
+        let room = n.saturating_sub(h);
+        if count > room {
+            return Err(format!(
+                "corrupts {count} parties, above n - h = {room} for n = {n}, h = {h}"
+            ));
+        }
+        self.check_indices(n)
+    }
+
+    fn check_indices(&self, n: usize) -> Result<(), String> {
+        let check = |field: &str, indices: &[usize]| match indices.iter().find(|&&i| i >= n) {
+            Some(i) => Err(format!("{field}: party index {i} out of range for n = {n}")),
+            None => Ok(()),
+        };
+        match self {
+            AdversarySpec::Triggered { base, trigger } => {
+                if let TriggerSpec::MessageFrom(p) = trigger {
+                    check("trigger", &[*p])?;
+                }
+                base.check_indices(n)
+            }
+            AdversarySpec::Both { a, b } => {
+                a.check_indices(n)?;
+                b.check_indices(n)
+            }
+            _ => {
+                if let CorruptionSpec::Explicit(indices) = self.single_corruption() {
+                    check("corrupt", indices)?;
+                }
+                match self {
+                    AdversarySpec::Flood { victims, .. }
+                    | AdversarySpec::Equivocate { victims, .. }
+                    | AdversarySpec::EquivocateFrame { victims, .. } => check("victims", victims),
+                    AdversarySpec::Withhold { recipients, .. } => check("recipients", recipients),
+                    _ => Ok(()),
+                }
+            }
+        }
+    }
+
     /// `true` when compiling this spec requires honest party logic for the
     /// corrupted parties (the proxy-based variants).
     pub fn needs_proxy_logic(&self) -> bool {

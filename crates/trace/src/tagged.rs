@@ -84,12 +84,11 @@ pub struct TaggedTrace {
 
 impl TaggedEntry {
     /// Tags one raw event against `schema` — the mapping
-    /// [`TaggedTrace::new`] applies to every event of a log (there with
-    /// the tag and fingerprint memoised per payload buffer), exposed so live
-    /// evaluators (the `mpca-predicate` [`TraceSink`](mpca_net::TraceSink)
-    /// adapter) observe byte-identical entries to a post-hoc tagging.
-    /// Tamper attribution is a whole-stream pass, so `tampered` is always
-    /// `None` here.
+    /// [`TaggedTrace::new`] applies to every event of a log, there with the
+    /// tag and fingerprint memoised per payload buffer. This is the
+    /// un-memoised reference: `tests/proptest_predicates.rs` checks the
+    /// memoised entries against it. Tamper attribution is a whole-stream
+    /// pass, so `tampered` is always `None` here.
     pub fn of_event(event: &TraceEvent, schema: &FrameSchema) -> Self {
         Self::with_frame(event, |payload| {
             (schema.tag(payload), payload_fingerprint(payload))

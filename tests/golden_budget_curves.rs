@@ -1,7 +1,7 @@
 //! The golden calibration sweep behind the budget curves.
 //!
 //! Runs every protocol family **honestly** over its full calibration grid
-//! (`ProtocolKind::calibration_grid`), under `CALIBRATION_SEEDS` distinct
+//! (`FamilySpec::calibration_grid`), under `CALIBRATION_SEEDS` distinct
 //! seeds per point, and records the measured envelope (max honest bits and
 //! max per-party locality) per point. The rendered fixture must match
 //! `tests/golden/comm_budget_curves.json` byte-for-byte — that file is what
@@ -63,7 +63,7 @@ fn measure_calibration_sweep() -> Vec<Measured> {
     let mut pool = SessionPool::new(Sequential).with_workers(2);
     let mut layout = Vec::new();
     for kind in ProtocolKind::ALL {
-        for (n, h) in kind.calibration_grid() {
+        for (n, h) in kind.spec().calibration_grid() {
             for seed in 0..CALIBRATION_SEEDS {
                 let plan = ScenarioPlan::new(
                     format!("cal{seed}-{}", kind.name()),

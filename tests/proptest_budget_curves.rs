@@ -65,7 +65,7 @@ proptest! {
         pick in 0usize..ProtocolKind::ALL.len(),
     ) {
         let kind = ProtocolKind::ALL[pick];
-        let &(n, h) = &kind.sweep_grid()[0];
+        let &(n, h) = &kind.spec().sweep_grid[0];
         let scenario = ScenarioPlan::new("inflate", kind, AdversarySpec::Honest)
             .with_grid([(n, h)])
             .with_seed(seed)
@@ -82,7 +82,7 @@ proptest! {
         // where byte counts are seed-independent, whichever is larger.
         let budget_bits = kind.comm_budget_bits(&scenario.params(), scenario.payload_bytes());
         let mut inflated_bytes = (3 * budget_bits).div_ceil(8 * BUDGET_SLACK) + 1;
-        if !kind.crs_variant_traffic() {
+        if !kind.spec().committee_traffic {
             inflated_bytes = inflated_bytes.max(3 * report.stats.total_bytes());
         }
         let honest: Vec<PartyId> = report.outcomes.keys().copied().collect();

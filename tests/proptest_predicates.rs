@@ -3,17 +3,17 @@
 //! protocol family satisfy the family's full predicate set at any seed on
 //! any backend, while the rigged controls — an equivocated unchecked sum, a
 //! charged flood — violate **exactly** their intended predicate, with a
-//! meaningful first-violation event span. The recorded path
-//! (`TaggedTrace::new`, which memoises tags per shared payload buffer) and
-//! the live path (`LiveEvaluator`, which tags event by event) must agree
-//! entry for entry and verdict for verdict.
+//! meaningful first-violation event span. The memoised tagging
+//! (`TaggedTrace::new`, which tags each shared payload buffer once) must
+//! agree entry for entry with the un-memoised reference
+//! (`TaggedEntry::of_event`, which tags event by event).
 
 use proptest::prelude::*;
 
 use mpc_aborts::engine::{ExecutionBackend, Parallel, Sequential, SessionPool, SessionReport};
 use mpc_aborts::net::TraceLog;
-use mpc_aborts::predicate::{eval_set, full_set, LiveEvaluator, SetViolation};
-use mpc_aborts::protocols::{ExecutionPath, FrameSchema, ProtocolKind};
+use mpc_aborts::predicate::{eval_set, full_set, SetViolation};
+use mpc_aborts::protocols::{FrameSchema, ProtocolKind};
 use mpc_aborts::scenario::{
     registry, AdversarySpec, CorruptionSpec, Expectation, Scenario, TriggerSpec,
 };
@@ -21,13 +21,12 @@ use mpc_aborts::trace::{TaggedEntry, TaggedTrace};
 
 /// Builds one concrete scenario at the family's smallest sweep grid point.
 fn scenario(kind: ProtocolKind, adversary: AdversarySpec, charge: bool, seed: u64) -> Scenario {
-    let (n, h) = kind.sweep_grid()[0];
+    let (n, h) = kind.spec().sweep_grid[0];
     Scenario {
         label: format!("pred-{}-{seed}", kind.name()),
         kind,
         n,
         h,
-        path: ExecutionPath::Concrete,
         adversary,
         seed,
         charge_adversary_bytes: charge,
@@ -66,7 +65,7 @@ fn frame_target(kind: ProtocolKind) -> (&'static str, &'static str) {
     }
 }
 
-/// The runs the cross-path check covers for one family, with whether each
+/// The runs the tagging check covers for one family, with whether each
 /// charges adversary bytes: honest, a charged flood (one junk buffer
 /// shared by every flooded envelope), a plain equivocation and a
 /// frame-field tamper.
@@ -102,10 +101,10 @@ fn cross_path_adversaries(kind: ProtocolKind) -> Vec<(AdversarySpec, bool)> {
     ]
 }
 
-/// Checks the recorded path against the per-event one on one retained
-/// stream: entries equal apart from tamper attribution, no honest entry
-/// attributed, and the live evaluator's verdicts identical.
-fn assert_paths_agree(kind: ProtocolKind, log: &TraceLog, what: &str) {
+/// Checks the memoised tagging against the per-event reference on one
+/// retained stream: entries equal apart from tamper attribution, and no
+/// honest entry attributed.
+fn assert_tagging_agrees(kind: ProtocolKind, log: &TraceLog, what: &str) {
     let schema = FrameSchema::new(kind);
     let tagged = TaggedTrace::new(log, kind);
     assert_eq!(tagged.entries.len(), log.len(), "{what}");
@@ -127,10 +126,6 @@ fn assert_paths_agree(kind: ProtocolKind, log: &TraceLog, what: &str) {
             "{what}: entry {index}"
         );
     }
-    let set = full_set(kind, None);
-    let mut live = LiveEvaluator::new(kind, log.charges_adversary_bytes(), &set);
-    log.stream_into(&mut live);
-    assert_eq!(live.finish(), eval_set(&set, &tagged), "{what}: verdicts");
 }
 
 proptest! {
@@ -138,10 +133,9 @@ proptest! {
 
     /// Memoised and per-event tagging agree on every family, under honest
     /// runs, shared-buffer floods, equivocation and frame tampers, on both
-    /// backends; and the live evaluator returns the recorded path's
-    /// violations exactly.
+    /// backends.
     #[test]
-    fn recorded_and_live_paths_agree_for_all_families(seed in any::<u64>()) {
+    fn memoised_and_per_event_tagging_agree_for_all_families(seed in any::<u64>()) {
         for kind in ProtocolKind::ALL {
             for (adversary, charge) in cross_path_adversaries(kind) {
                 let scenario = scenario(kind, adversary, charge, seed);
@@ -155,7 +149,7 @@ proptest! {
                         kind.name(),
                         scenario.adversary.name()
                     );
-                    assert_paths_agree(kind, log, &what);
+                    assert_tagging_agrees(kind, log, &what);
                 }
             }
         }

@@ -146,13 +146,13 @@ fn milestone_trigger_arms_exactly_at_the_committee_announcement() {
 fn injected_junk_is_tagged_so_exclusions_recompute_from_the_trace_alone() {
     // Run a flood scenario directly (not through the campaign) so the raw
     // TraceLog is available for recomputation.
-    use mpc_aborts::net::{FloodAdversary, SimConfig, Simulator};
+    use mpc_aborts::net::{FloodBudget, SimConfig, Simulator};
     use mpc_aborts::protocols::broadcast;
 
     let n = 8;
     let corrupted: BTreeSet<PartyId> = [PartyId(7)].into();
     let parties = broadcast::broadcast_parties(n, PartyId(0), vec![0xAB; 24], &corrupted);
-    let adversary = FloodAdversary::new(corrupted.clone(), PartyId::all(n - 1), 333);
+    let adversary = FloodBudget::new(corrupted.clone(), PartyId::all(n - 1), 333);
     let mut sim = Simulator::new(n, parties, Box::new(adversary), SimConfig::default())
         .expect("valid configuration");
     sim.record_trace();
