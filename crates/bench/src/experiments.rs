@@ -45,7 +45,6 @@ fn run_theorem1(n: usize, h: usize, label: &str) -> RunResult<Vec<u8>> {
         ExecutionPath::Concrete,
         &inputs,
         crs,
-        None,
         &BTreeSet::new(),
     );
     let result = Simulator::all_honest(n, parties).unwrap().run().unwrap();
@@ -84,7 +83,6 @@ fn run_theorem4(n: usize, h: usize, label: &str) -> RunResult<Vec<u8>> {
         ExecutionPath::Concrete,
         &inputs,
         crs,
-        None,
         &BTreeSet::new(),
     );
     let result = Simulator::all_honest(n, parties).unwrap().run().unwrap();
@@ -530,7 +528,6 @@ pub fn exp_adversary() -> Table {
         ExecutionPath::Concrete,
         &inputs,
         crs,
-        None,
         &corrupted,
     );
     let r1 = Simulator::new(
@@ -605,15 +602,8 @@ pub fn exp_engine_sweep() -> Table {
         let (p, f, i) = (params, functionality.clone(), inputs.clone());
         pool.submit(format!("thm1-n{n}-h{h}"), move || {
             let crs = CommonRandomString::from_label(format!("e13-1-{n}-{h}").as_bytes());
-            let parties = mpc::mpc_parties(
-                &p,
-                &f,
-                ExecutionPath::Concrete,
-                &i,
-                crs,
-                None,
-                &BTreeSet::new(),
-            );
+            let parties =
+                mpc::mpc_parties(&p, &f, ExecutionPath::Concrete, &i, crs, &BTreeSet::new());
             Simulator::all_honest(n, parties)
         });
 
@@ -632,7 +622,6 @@ pub fn exp_engine_sweep() -> Table {
                 ExecutionPath::Concrete,
                 &inputs,
                 crs,
-                None,
                 &BTreeSet::new(),
             );
             Simulator::all_honest(n, parties)

@@ -10,13 +10,13 @@
 //! | [`broadcast`] | §2.1 | single-source broadcast with abort, `O(n·ℓ + n²)` bits |
 //! | [`all_to_all`] | §2.1 / Remark 8 | naive `O(n³)` GL baseline and the succinct `Õ(n²)` variant |
 //! | [`committee`] | Algorithm 2 | committee election, `Õ(n²/h)` bits |
-//! | [`mpc`] | Algorithm 3 / Theorem 1 | MPC with abort, `Õ(n²/h)` bits |
+//! | [`mpc`] | Algorithm 3 / Theorem 1 | MPC with abort, `Õ(n²/h)` bits; the committee machine Algorithm 8 reuses |
 //! | [`multi_output`] | Algorithm 4 / §4.3 | per-party outputs without the `O(n³/h²)` blow-up |
 //! | [`sparse`] | Algorithm 5 / Claim 20 | sparse routing network, degree `Õ(n/h)` |
 //! | [`gossip`] | Algorithm 6 / Claim 21 | responsible gossip / sparse simultaneous broadcast |
 //! | [`local_mpc`] | Theorem 2 / Theorem 18 | MPC with abort, `Õ(n³/h)` bits, locality `Õ(n/h)` |
 //! | [`local_committee`] | Algorithm 7 / Claim 22 | local committee election |
-//! | [`tradeoff`] | Algorithm 8 / Theorem 4 / 19 | `Õ(n³/h^{3/2})` bits, locality `Õ(n/√h)` |
+//! | [`tradeoff`] | Algorithm 8 / Theorem 4 / 19 | `Õ(n³/h^{3/2})` bits, locality `Õ(n/√h)`: the [`mpc`] machine with cover sets |
 //! | [`lower_bound`] | Theorem 3 / Appendix A | the isolation attack behind the `Ω(n²/h)` bound |
 //! | [`catalog`] | — | the family table: one [`FamilySpec`] row per [`ProtocolKind`] + paper comm budgets |
 //! | [`frames`] | — | per-protocol frame schemas: trace tagging + framing-aware tampering |

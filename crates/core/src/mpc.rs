@@ -1,4 +1,5 @@
-//! Communication-optimal MPC with abort (Algorithm 3, Theorem 1).
+//! Communication-optimal MPC with abort (Algorithm 3, Theorem 1), and the
+//! committee machine that Algorithm 8 (Theorem 4) shares with it.
 //!
 //! The protocol delegates the computation to a small, randomly elected
 //! committee:
@@ -22,6 +23,13 @@
 //! homomorphic aggregation and threshold decryption; with the hybrid path the
 //! ideal functionality computes the result while the members exchange
 //! Theorem 9-sized messages.
+//!
+//! [`MpcParty`] runs Algorithm 8 ([`crate::tradeoff`]) as well. There the
+//! election is Algorithm 7's local one, each member talks to its cover set
+//! `S_c` in place of all `n` parties, and the members relay the ciphertexts
+//! they collected to each other before step 5. Which algorithm a party runs
+//! is fixed when it is built: it picks the election, and a phase table gives
+//! the rounds after it.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -29,22 +37,23 @@ use mpca_crypto::fingerprint::{EqualityChallenge, EqualityResponse};
 use mpca_crypto::lwe::{LweCiphertext, LwePublicKey};
 use mpca_crypto::threshold::{combine_partials, PartialDecryption, ThresholdDecryptor};
 use mpca_crypto::Prg;
+use mpca_encfunc::hybrid::HostFunctionality;
 use mpca_encfunc::keygen::{combine_contributions, KeygenContribution};
 use mpca_encfunc::linear;
 use mpca_encfunc::spec::Functionality;
-use mpca_encfunc::SharedHost;
+use mpca_encfunc::{EncFuncHost, SharedHost};
 use mpca_net::{
-    AbortReason, CommonRandomString, Envelope, Milestone, PartyCtx, PartyId, PartyLogic, Payload,
-    Step,
+    AbortReason, CommonRandomString, Envelope, Milestone, PartyCtx, PartyId, PartyLogic, Step,
 };
 use mpca_wire::{Decode, Encode, Reader, WireError, Writer};
 
 use crate::committee::{CommitteeElectParty, CommitteeView};
 use crate::equality::PairwiseEquality;
+use crate::local_committee::LocalCommitteeElectParty;
 use crate::params::{ExecutionPath, ProtocolParams};
 
 /// Number of rounds the protocol takes (committee election included).
-pub const ROUNDS: usize = crate::committee::ROUNDS + 8;
+pub const ROUNDS: usize = crate::committee::ROUNDS + ALGORITHM_3.phases.len();
 
 /// Wire messages of Algorithm 3 (excluding the embedded committee-election
 /// messages, which use [`crate::committee::CommitteeMsg`]).
@@ -140,11 +149,156 @@ impl Decode for MpcMsg {
 }
 
 /// Canonically encodes a member's view of the collected ciphertexts.
-pub(crate) fn encode_ct_view(view: &BTreeMap<PartyId, Vec<u8>>) -> Vec<u8> {
+fn encode_ct_view(view: &BTreeMap<PartyId, Vec<u8>>) -> Vec<u8> {
     mpca_wire::to_bytes(view)
 }
 
-/// One party of the Algorithm 3 MPC-with-abort protocol.
+/// One round of the committee machine after the election.
+#[derive(Debug, Clone, Copy)]
+enum Phase {
+    /// Members send their `F_Gen` messages to each other.
+    Keygen,
+    /// Members combine the key and forward it to their audience.
+    ForwardKey,
+    /// Everyone checks the key, encrypts its input and sends the ciphertext.
+    Encrypt,
+    /// Members collect the ciphertexts, then relay them (Algorithm 8) or
+    /// start the pairwise equality check (Algorithm 3).
+    Collect,
+    /// Members merge the relayed collections and start the pairwise
+    /// equality check (Algorithm 8 only).
+    Merge,
+    /// Members answer the equality challenges.
+    Respond,
+    /// Members verify the responses, then send their `F_Comp` messages.
+    Compute,
+    /// Members combine the output and forward it to their audience.
+    ForwardOutput,
+    /// Everyone checks its output copies and terminates.
+    Finish,
+}
+
+/// What Algorithms 3 and 8 do differently around their shared steps.
+pub(crate) struct Algorithm {
+    /// The rounds after the election, in order.
+    phases: &'static [Phase],
+    /// CRS label of the shared LWE matrix.
+    matrix_label: &'static [u8],
+    /// Label of each party's private PRG.
+    party_label: &'static [u8],
+    /// Algorithm 8: the election is Algorithm 7's, each member draws a
+    /// cover set `S_c`, and the members relay the ciphertexts they
+    /// collected. Without it the election is Algorithm 2's and every
+    /// member's cover is all `n` parties.
+    covers: bool,
+    /// Who a party hears the key and the output from, as abort texts name
+    /// them.
+    senders: &'static str,
+    /// Abort text of a party that received no public key.
+    no_key: &'static str,
+    /// Abort text of a party that received no output.
+    no_output: &'static str,
+    /// Abort text of a party driven past its last round.
+    overrun: &'static str,
+}
+
+/// Algorithm 3 (Theorem 1).
+const ALGORITHM_3: Algorithm = Algorithm {
+    phases: &[
+        Phase::Keygen,
+        Phase::ForwardKey,
+        Phase::Encrypt,
+        Phase::Collect,
+        Phase::Respond,
+        Phase::Compute,
+        Phase::ForwardOutput,
+        Phase::Finish,
+    ],
+    matrix_label: b"mpc-lwe-matrix",
+    party_label: b"mpc-party",
+    covers: false,
+    senders: "committee",
+    no_key: "no public key received from the committee",
+    no_output: "no output received from the committee",
+    overrun: "MPC ran past its rounds",
+};
+
+/// Algorithm 8 (Theorem 4): Algorithm 3's phases plus a `Merge` after
+/// `Collect`.
+pub(crate) const ALGORITHM_8: Algorithm = Algorithm {
+    phases: &[
+        Phase::Keygen,
+        Phase::ForwardKey,
+        Phase::Encrypt,
+        Phase::Collect,
+        Phase::Merge,
+        Phase::Respond,
+        Phase::Compute,
+        Phase::ForwardOutput,
+        Phase::Finish,
+    ],
+    matrix_label: b"tradeoff-lwe-matrix",
+    party_label: b"tradeoff-party",
+    covers: true,
+    senders: "covering",
+    no_key: "not covered by any committee member",
+    no_output: "no output received from any covering member",
+    overrun: "tradeoff protocol ran past its rounds",
+};
+
+impl Algorithm {
+    /// Rounds the election takes.
+    fn election_rounds(&self, params: &ProtocolParams) -> usize {
+        if self.covers {
+            crate::local_committee::rounds(params)
+        } else {
+            crate::committee::ROUNDS
+        }
+    }
+
+    /// Total number of rounds, election included.
+    pub(crate) fn rounds(&self, params: &ProtocolParams) -> usize {
+        self.election_rounds(params) + self.phases.len()
+    }
+
+    fn election(&self, id: PartyId, params: ProtocolParams, crs: CommonRandomString) -> Election {
+        if self.covers {
+            Election::Local(Box::new(LocalCommitteeElectParty::new(id, params, crs)))
+        } else {
+            let prg = crs.party_prg(id, b"mpc-elect");
+            Election::Global(Box::new(CommitteeElectParty::new(id, params, prg)))
+        }
+    }
+}
+
+/// The committee election a party runs first.
+enum Election {
+    /// Algorithm 2.
+    Global(Box<CommitteeElectParty>),
+    /// Algorithm 7.
+    Local(Box<LocalCommitteeElectParty>),
+}
+
+impl Election {
+    fn on_round(
+        &mut self,
+        round: usize,
+        incoming: &[Envelope],
+        ctx: &mut PartyCtx,
+    ) -> Step<CommitteeView> {
+        match self {
+            Election::Global(elect) => elect.on_round(round, incoming, ctx),
+            Election::Local(elect) => match elect.on_round(round, incoming, ctx) {
+                Step::Continue => Step::Continue,
+                Step::Output(output) => Step::Output(output.view),
+                Step::Abort(reason) => Step::Abort(reason),
+            },
+        }
+    }
+}
+
+/// One party of Algorithm 3, or of Algorithm 8 (see
+/// [`crate::tradeoff::TradeoffParty`]).
 pub struct MpcParty {
     id: PartyId,
     params: ProtocolParams,
@@ -154,11 +308,18 @@ pub struct MpcParty {
     prg: Prg,
     host: Option<SharedHost>,
     shared_a: std::sync::Arc<Vec<u64>>,
+    algorithm: &'static Algorithm,
+    election_rounds: usize,
 
     // Phase state.
-    elect: Option<CommitteeElectParty>,
+    elect: Option<Election>,
     committee: BTreeSet<PartyId>,
     is_member: bool,
+    /// This member's cover set `S_c`, which it forwards the key and the
+    /// output to (members only).
+    cover: BTreeSet<PartyId>,
+    /// The members that sent this party the public key.
+    covering_members: BTreeSet<PartyId>,
     decryptor: Option<ThresholdDecryptor>,
     contributions: Vec<KeygenContribution>,
     pk_b: Option<Vec<u64>>,
@@ -180,77 +341,31 @@ impl std::fmt::Debug for MpcParty {
 }
 
 impl MpcParty {
-    /// Creates a party.
-    ///
-    /// For [`ExecutionPath::Hybrid`] a [`SharedHost`] must be provided (all
-    /// parties of one execution share the same host); for
-    /// [`ExecutionPath::Concrete`] the functionality must support the
-    /// concrete path under the chosen LWE parameters.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an inconsistent configuration (missing host, unsupported
-    /// concrete functionality, wrong input width).
-    pub fn new(
-        id: PartyId,
-        params: ProtocolParams,
-        functionality: Functionality,
-        path: ExecutionPath,
-        input: Vec<u8>,
-        crs: CommonRandomString,
-        host: Option<SharedHost>,
-    ) -> Self {
-        params.validate();
-        assert_eq!(
-            input.len(),
-            functionality.input_bytes(),
-            "input width does not match the functionality"
-        );
-        match path {
-            ExecutionPath::Concrete => assert!(
-                linear::supports_concrete_path(&params.lwe, &functionality),
-                "functionality does not support the concrete threshold-LWE path"
-            ),
-            ExecutionPath::Hybrid => {
-                assert!(host.is_some(), "the hybrid path requires a shared host")
-            }
-        }
-        let shared_a = crate::crs_cache::shared_matrix(&params.lwe, &crs, b"mpc-lwe-matrix");
-        let prg = crs.party_prg(id, b"mpc-party");
-        let elect = CommitteeElectParty::new(id, params, crs.party_prg(id, b"mpc-elect"));
-        Self {
-            id,
-            params,
-            functionality,
-            path,
-            input,
-            prg,
-            host,
-            shared_a,
-            elect: Some(elect),
-            committee: BTreeSet::new(),
-            is_member: false,
-            decryptor: None,
-            contributions: Vec::new(),
-            pk_b: None,
-            ct_view: BTreeMap::new(),
-            equality: None,
-            aggregate: None,
-            partials: Vec::new(),
-            output: None,
-        }
-    }
-
-    fn all_parties(&self) -> Vec<PartyId> {
-        PartyId::all(self.params.n).collect()
-    }
-
     fn other_members(&self) -> Vec<PartyId> {
         self.committee
             .iter()
             .copied()
             .filter(|c| *c != self.id)
             .collect()
+    }
+
+    /// The rest of this member's cover: who gets its key and its output.
+    fn audience(&self) -> Vec<PartyId> {
+        self.cover
+            .iter()
+            .copied()
+            .filter(|p| *p != self.id)
+            .collect()
+    }
+
+    /// An over-receipt abort for a message from a non-member. Algorithm 3's
+    /// text names the sender; Algorithm 8's does not.
+    fn non_member_abort(&self, what: &str, from: PartyId) -> Step<Vec<u8>> {
+        Step::Abort(AbortReason::OverReceipt(if self.algorithm.covers {
+            format!("{what} from a non-member")
+        } else {
+            format!("{what} from non-member {from}")
+        }))
     }
 
     fn reconstruct_pk(&self, b: &[u64]) -> Option<LwePublicKey> {
@@ -268,13 +383,23 @@ impl MpcParty {
         MpcMsg::Filler(vec![0u8; bytes])
     }
 
+    /// Builds the equality challenges over this member's ciphertext view.
+    fn start_check(&mut self, ctx: &mut PartyCtx) {
+        let mut equality =
+            PairwiseEquality::new(self.id, self.committee.iter().copied(), self.params.lambda);
+        let encoded = encode_ct_view(&self.ct_view);
+        ctx.milestone(Milestone::VerificationStart);
+        for (peer, challenge) in equality.build_challenges(&encoded, &mut self.prg) {
+            ctx.send_msg(peer, &MpcMsg::CtChallenge(challenge));
+        }
+        self.equality = Some(equality);
+    }
+
     /// `F_Comp` on the collected ciphertexts, hybrid path.
     fn hybrid_compute(&mut self) -> Option<Vec<u8>> {
         let host = self.host.as_ref()?;
-        let cts: Vec<LweCiphertext> = self
-            .all_parties()
-            .iter()
-            .map(|p| match self.ct_view.get(p) {
+        let cts: Vec<LweCiphertext> = PartyId::all(self.params.n)
+            .map(|p| match self.ct_view.get(&p) {
                 Some(bytes) => {
                     mpca_wire::from_bytes(bytes).unwrap_or(LweCiphertext { chunks: Vec::new() })
                 }
@@ -311,8 +436,8 @@ impl PartyLogic for MpcParty {
         incoming: &[Envelope],
         ctx: &mut PartyCtx,
     ) -> Step<Vec<u8>> {
-        // Phase A: committee election (rounds 0..committee::ROUNDS).
-        if round < crate::committee::ROUNDS {
+        // Phase A: committee election.
+        if round < self.election_rounds {
             if round == 0 {
                 // CRS-derived state (shared matrix, election coins) is in
                 // place and the protocol proper begins.
@@ -337,10 +462,11 @@ impl PartyLogic for MpcParty {
             };
         }
 
-        let phase = round - crate::committee::ROUNDS;
+        let Some(&phase) = self.algorithm.phases.get(round - self.election_rounds) else {
+            return Step::Abort(AbortReason::BoundViolated(self.algorithm.overrun.into()));
+        };
         match phase {
-            // F_Gen sends (members only).
-            0 => {
+            Phase::Keygen => {
                 if self.is_member {
                     match self.path {
                         ExecutionPath::Concrete => {
@@ -373,15 +499,11 @@ impl PartyLogic for MpcParty {
                 }
                 Step::Continue
             }
-            // F_Gen combine + forward pk to everyone (members only).
-            1 => {
+            Phase::ForwardKey => {
                 if self.is_member {
                     for envelope in incoming {
                         if !self.committee.contains(&envelope.from) {
-                            return Step::Abort(AbortReason::OverReceipt(format!(
-                                "keygen message from non-member {}",
-                                envelope.from
-                            )));
+                            return self.non_member_abort("keygen message", envelope.from);
                         }
                         match envelope.decode::<MpcMsg>() {
                             Ok(MpcMsg::Keygen(c)) => self.contributions.push(c),
@@ -414,39 +536,42 @@ impl PartyLogic for MpcParty {
                         }
                     };
                     self.pk_b = Some(pk_b.clone());
-                    let recipients: Vec<PartyId> = self
-                        .all_parties()
-                        .into_iter()
-                        .filter(|p| *p != self.id)
-                        .collect();
-                    // The Õ(λ²)-byte public key fans out to all n − 1
-                    // parties; materialise it once and share the buffer.
-                    let payload = Payload::encode(&MpcMsg::PublicKey(pk_b));
-                    ctx.send_payload_to_all(recipients, &payload);
+                    self.cover = if self.algorithm.covers {
+                        // Step 3 of Algorithm 8: sample the cover set S_c.
+                        let _span = mpca_metrics::span("core.tradeoff.cover_draw");
+                        self.prg
+                            .sample_subset(self.params.n, self.params.cover_size())
+                            .into_iter()
+                            .map(PartyId)
+                            .collect()
+                    } else {
+                        PartyId::all(self.params.n).collect()
+                    };
+                    ctx.send_to_all(self.audience(), &MpcMsg::PublicKey(pk_b));
                 }
                 Step::Continue
             }
-            // Everyone: check pk consistency, encrypt input, send to committee.
-            2 => {
+            Phase::Encrypt => {
                 let mut received_pk: Option<Vec<u64>> = self.pk_b.clone();
                 for envelope in incoming {
                     if !self.committee.contains(&envelope.from) {
-                        return Step::Abort(AbortReason::OverReceipt(format!(
-                            "public key from non-member {}",
-                            envelope.from
-                        )));
+                        return self.non_member_abort("public key", envelope.from);
                     }
                     match envelope.decode::<MpcMsg>() {
-                        Ok(MpcMsg::PublicKey(b)) => match &received_pk {
-                            None => received_pk = Some(b),
-                            Some(existing) => {
-                                if *existing != b {
-                                    return Step::Abort(AbortReason::Equivocation(
-                                        "committee members sent different public keys".into(),
-                                    ));
+                        Ok(MpcMsg::PublicKey(b)) => {
+                            self.covering_members.insert(envelope.from);
+                            match &received_pk {
+                                None => received_pk = Some(b),
+                                Some(existing) => {
+                                    if *existing != b {
+                                        return Step::Abort(AbortReason::Equivocation(format!(
+                                            "{} members sent different public keys",
+                                            self.algorithm.senders
+                                        )));
+                                    }
                                 }
                             }
-                        },
+                        }
                         Ok(_) => {
                             return Step::Abort(AbortReason::Malformed(
                                 "expected a public key".into(),
@@ -456,9 +581,7 @@ impl PartyLogic for MpcParty {
                     }
                 }
                 let Some(pk_b) = received_pk else {
-                    return Step::Abort(AbortReason::MissingMessage(
-                        "no public key received from the committee".into(),
-                    ));
+                    return Step::Abort(AbortReason::MissingMessage(self.algorithm.no_key.into()));
                 };
                 let Some(pk) = self.reconstruct_pk(&pk_b) else {
                     return Step::Abort(AbortReason::Malformed(
@@ -476,13 +599,26 @@ impl PartyLogic for MpcParty {
                     .expect("validated at construction"),
                     ExecutionPath::Hybrid => pk.encrypt_bytes(&mut self.prg, &self.input),
                 };
-                let committee: Vec<PartyId> = self.committee.iter().copied().collect();
-                ctx.send_to_all(committee, &MpcMsg::InputCt(ct));
+                let recipients: Vec<PartyId> = if self.algorithm.covers {
+                    // A member keeps its own ciphertext and sends it to the
+                    // other members that cover it.
+                    if self.is_member {
+                        self.ct_view.insert(self.id, mpca_wire::to_bytes(&ct));
+                    }
+                    self.covering_members
+                        .iter()
+                        .copied()
+                        .filter(|p| *p != self.id)
+                        .collect()
+                } else {
+                    // The whole committee, a member itself included.
+                    self.committee.iter().copied().collect()
+                };
+                ctx.send_to_all(recipients, &MpcMsg::InputCt(ct));
                 ctx.milestone(Milestone::SharesDistributed);
                 Step::Continue
             }
-            // Members: collect ciphertexts and start the pairwise check.
-            3 => {
+            Phase::Collect => {
                 if self.is_member {
                     for envelope in incoming {
                         match envelope.decode::<MpcMsg>() {
@@ -506,17 +642,14 @@ impl PartyLogic for MpcParty {
                             Err(e) => return Step::Abort(AbortReason::Malformed(e.to_string())),
                         }
                     }
-                    let mut equality = PairwiseEquality::new(
-                        self.id,
-                        self.committee.iter().copied(),
-                        self.params.lambda,
-                    );
-                    let encoded = encode_ct_view(&self.ct_view);
-                    ctx.milestone(Milestone::VerificationStart);
-                    for (peer, challenge) in equality.build_challenges(&encoded, &mut self.prg) {
-                        ctx.send_msg(peer, &MpcMsg::CtChallenge(challenge));
+                    if self.algorithm.covers {
+                        // Step 6 of Algorithm 8: relay the collection to the
+                        // other members in a Filler frame.
+                        let relay = MpcMsg::Filler(mpca_wire::to_bytes(&self.ct_view));
+                        ctx.send_to_all(self.other_members(), &relay);
+                    } else {
+                        self.start_check(ctx);
                     }
-                    self.equality = Some(equality);
                 } else if !incoming.is_empty() {
                     return Step::Abort(AbortReason::OverReceipt(
                         "ciphertext sent to a non-member".into(),
@@ -524,8 +657,52 @@ impl PartyLogic for MpcParty {
                 }
                 Step::Continue
             }
-            // Members: respond to ciphertext-view challenges.
-            4 => {
+            Phase::Merge => {
+                if self.is_member {
+                    for envelope in incoming {
+                        if !self.committee.contains(&envelope.from) {
+                            return Step::Abort(AbortReason::OverReceipt(
+                                "forwarded ciphertexts from a non-member".into(),
+                            ));
+                        }
+                        match envelope.decode::<MpcMsg>() {
+                            Ok(MpcMsg::Filler(bytes)) => {
+                                let forwarded: BTreeMap<PartyId, Vec<u8>> =
+                                    match mpca_wire::from_bytes(&bytes) {
+                                        Ok(map) => map,
+                                        Err(e) => {
+                                            return Step::Abort(AbortReason::Malformed(
+                                                e.to_string(),
+                                            ))
+                                        }
+                                    };
+                                for (source, ct_bytes) in forwarded {
+                                    match self.ct_view.get(&source) {
+                                        Some(existing) if *existing != ct_bytes => {
+                                            return Step::Abort(AbortReason::Equivocation(
+                                                format!("conflicting ciphertexts for {source}"),
+                                            ));
+                                        }
+                                        Some(_) => {}
+                                        None => {
+                                            self.ct_view.insert(source, ct_bytes);
+                                        }
+                                    }
+                                }
+                            }
+                            Ok(_) => {
+                                return Step::Abort(AbortReason::Malformed(
+                                    "expected forwarded ciphertexts".into(),
+                                ))
+                            }
+                            Err(e) => return Step::Abort(AbortReason::Malformed(e.to_string())),
+                        }
+                    }
+                    self.start_check(ctx);
+                }
+                Step::Continue
+            }
+            Phase::Respond => {
                 if let Some(equality) = &mut self.equality {
                     let encoded = encode_ct_view(&self.ct_view);
                     for envelope in incoming {
@@ -551,10 +728,9 @@ impl PartyLogic for MpcParty {
                 }
                 Step::Continue
             }
-            // Members: verify, then F_Comp sends.
-            5 => {
+            Phase::Compute => {
                 if self.is_member {
-                    let equality = self.equality.as_mut().expect("member ran phase 3");
+                    let equality = self.equality.as_mut().expect("member started the check");
                     for envelope in incoming {
                         match envelope.decode::<MpcMsg>() {
                             Ok(MpcMsg::CtResponse(response)) => equality.absorb_response(&response),
@@ -596,8 +772,7 @@ impl PartyLogic for MpcParty {
                 }
                 Step::Continue
             }
-            // Members: combine and forward the output to everyone.
-            6 => {
+            Phase::ForwardOutput => {
                 if self.is_member {
                     let output = match self.path {
                         ExecutionPath::Concrete => {
@@ -639,34 +814,25 @@ impl PartyLogic for MpcParty {
                         },
                     };
                     self.output = Some(output.clone());
-                    let recipients: Vec<PartyId> = self
-                        .all_parties()
-                        .into_iter()
-                        .filter(|p| *p != self.id)
-                        .collect();
-                    let payload = Payload::encode(&MpcMsg::Output(output));
-                    ctx.send_payload_to_all(recipients, &payload);
+                    ctx.send_to_all(self.audience(), &MpcMsg::Output(output));
                 }
                 Step::Continue
             }
-            // Everyone: check output consistency and terminate.
-            7 => {
+            Phase::Finish => {
                 let mut value: Option<Vec<u8>> = self.output.clone();
                 for envelope in incoming {
                     if !self.committee.contains(&envelope.from) {
-                        return Step::Abort(AbortReason::OverReceipt(format!(
-                            "output from non-member {}",
-                            envelope.from
-                        )));
+                        return self.non_member_abort("output", envelope.from);
                     }
                     match envelope.decode::<MpcMsg>() {
                         Ok(MpcMsg::Output(out)) => match &value {
                             None => value = Some(out),
                             Some(existing) => {
                                 if *existing != out {
-                                    return Step::Abort(AbortReason::Equivocation(
-                                        "committee members sent different outputs".into(),
-                                    ));
+                                    return Step::Abort(AbortReason::Equivocation(format!(
+                                        "{} members sent different outputs",
+                                        self.algorithm.senders
+                                    )));
                                 }
                             }
                         },
@@ -678,12 +844,11 @@ impl PartyLogic for MpcParty {
                 }
                 match value {
                     Some(out) => Step::Output(out),
-                    None => Step::Abort(AbortReason::MissingMessage(
-                        "no output received from the committee".into(),
-                    )),
+                    None => {
+                        Step::Abort(AbortReason::MissingMessage(self.algorithm.no_output.into()))
+                    }
                 }
             }
-            _ => Step::Abort(AbortReason::BoundViolated("MPC ran past its rounds".into())),
         }
     }
 }
@@ -691,50 +856,99 @@ impl PartyLogic for MpcParty {
 /// Builds the honest parties of an Algorithm 3 execution.
 ///
 /// The per-party inputs are `inputs[i]`; parties whose id is in `corrupted`
-/// are skipped. For [`ExecutionPath::Hybrid`] a fresh [`SharedHost`] must be
-/// supplied; the same handle is shared by every honest committee member.
+/// are skipped. On [`ExecutionPath::Hybrid`] the parties share one
+/// ideal-functionality host over the execution's own LWE matrix.
 pub fn mpc_parties(
     params: &ProtocolParams,
     functionality: &Functionality,
     path: ExecutionPath,
     inputs: &[Vec<u8>],
     crs: CommonRandomString,
-    host: Option<SharedHost>,
     corrupted: &BTreeSet<PartyId>,
 ) -> Vec<MpcParty> {
+    committee_parties(
+        &ALGORITHM_3,
+        params,
+        functionality,
+        path,
+        inputs,
+        crs,
+        corrupted,
+    )
+}
+
+/// Builds the honest parties of one execution of `algorithm`; see
+/// [`mpc_parties`].
+///
+/// # Panics
+///
+/// Panics on an inconsistent configuration (wrong input count or width,
+/// unsupported concrete functionality).
+pub(crate) fn committee_parties(
+    algorithm: &'static Algorithm,
+    params: &ProtocolParams,
+    functionality: &Functionality,
+    path: ExecutionPath,
+    inputs: &[Vec<u8>],
+    crs: CommonRandomString,
+    corrupted: &BTreeSet<PartyId>,
+) -> Vec<MpcParty> {
+    params.validate();
     assert_eq!(inputs.len(), params.n, "one input per party required");
+    let shared_a = crate::crs_cache::shared_matrix(&params.lwe, &crs, algorithm.matrix_label);
+    let host = match path {
+        ExecutionPath::Concrete => {
+            assert!(
+                linear::supports_concrete_path(&params.lwe, functionality),
+                "functionality does not support the concrete threshold-LWE path"
+            );
+            None
+        }
+        ExecutionPath::Hybrid => {
+            let host = EncFuncHost::new(
+                params.lwe,
+                HostFunctionality::Single(functionality.clone()),
+                1,
+            );
+            Some(host.with_shared_matrix(shared_a.as_ref().clone()).shared())
+        }
+    };
     PartyId::all(params.n)
         .filter(|id| !corrupted.contains(id))
         .map(|id| {
-            MpcParty::new(
+            let input = inputs[id.index()].clone();
+            assert_eq!(
+                input.len(),
+                functionality.input_bytes(),
+                "input width does not match the functionality"
+            );
+            MpcParty {
                 id,
-                *params,
-                functionality.clone(),
+                params: *params,
+                functionality: functionality.clone(),
                 path,
-                inputs[id.index()].clone(),
-                crs,
-                host.clone(),
-            )
+                input,
+                prg: crs.party_prg(id, algorithm.party_label),
+                host: host.clone(),
+                shared_a: std::sync::Arc::clone(&shared_a),
+                algorithm,
+                election_rounds: algorithm.election_rounds(params),
+                elect: Some(algorithm.election(id, *params, crs)),
+                committee: BTreeSet::new(),
+                is_member: false,
+                cover: BTreeSet::new(),
+                covering_members: BTreeSet::new(),
+                decryptor: None,
+                contributions: Vec::new(),
+                pk_b: None,
+                ct_view: BTreeMap::new(),
+                equality: None,
+                aggregate: None,
+                partials: Vec::new(),
+                output: None,
+            }
         })
         .collect()
-}
-
-/// Creates the shared ideal-functionality host for a hybrid-path execution.
-pub fn hybrid_host(
-    params: &ProtocolParams,
-    functionality: &Functionality,
-    crs: &CommonRandomString,
-) -> SharedHost {
-    let shared_a = crate::crs_cache::shared_matrix(&params.lwe, crs, b"mpc-lwe-matrix")
-        .as_ref()
-        .clone();
-    mpca_encfunc::EncFuncHost::new(
-        params.lwe,
-        mpca_encfunc::hybrid::HostFunctionality::Single(functionality.clone()),
-        1,
-    )
-    .with_shared_matrix(shared_a)
-    .shared()
 }
 
 #[cfg(test)]
@@ -764,7 +978,6 @@ mod tests {
             ExecutionPath::Concrete,
             &inputs,
             crs,
-            None,
             &BTreeSet::new(),
         );
         let result = Simulator::all_honest(params.n, parties)
@@ -785,14 +998,12 @@ mod tests {
             .collect();
         let expected = functionality.evaluate(&inputs);
         let crs = CommonRandomString::from_label(b"mpc-hybrid");
-        let host = hybrid_host(&params, &functionality, &crs);
         let parties = mpc_parties(
             &params,
             &functionality,
             ExecutionPath::Hybrid,
             &inputs,
             crs,
-            Some(host),
             &BTreeSet::new(),
         );
         let result = Simulator::all_honest(params.n, parties)
@@ -828,7 +1039,6 @@ mod tests {
             ExecutionPath::Concrete,
             &inputs,
             crs,
-            None,
             &corrupted,
         );
         let result = Simulator::new(
@@ -866,7 +1076,6 @@ mod tests {
                 ExecutionPath::Concrete,
                 &inputs,
                 crs,
-                None,
                 &BTreeSet::new(),
             );
             let result = Simulator::all_honest(params.n, parties)

@@ -11,689 +11,48 @@
 //! reaches the committee and it receives a correct output copy.
 //!
 //! Communication `Õ(n³/h^{3/2})`, locality `Õ(n/√h)` (Claims 24–26).
+//!
+//! The steps after the election are Algorithm 3's, so a party is an
+//! [`MpcParty`] built for Algorithm 8: it forwards the key and the output
+//! to its cover, sends its ciphertext to the members that covered it, and
+//! relays the collected ciphertexts to the other members before the
+//! equality check. The messages are Algorithm 3's [`MpcMsg`](crate::mpc::MpcMsg)s.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
-use mpca_crypto::lwe::LweCiphertext;
-use mpca_crypto::threshold::{combine_partials, PartialDecryption, ThresholdDecryptor};
-use mpca_crypto::Prg;
-use mpca_encfunc::keygen::{combine_contributions, KeygenContribution};
-use mpca_encfunc::linear;
 use mpca_encfunc::spec::Functionality;
-use mpca_encfunc::SharedHost;
-use mpca_net::{
-    AbortReason, CommonRandomString, Envelope, Milestone, PartyCtx, PartyId, PartyLogic, Payload,
-    Step,
-};
+use mpca_net::{CommonRandomString, PartyId};
 
-use crate::equality::PairwiseEquality;
-use crate::local_committee::{
-    rounds as election_rounds, LocalCommitteeElectParty, LocalCommitteeOutput,
-};
-use crate::mpc::{encode_ct_view, MpcMsg};
+use crate::mpc::{committee_parties, MpcParty, ALGORITHM_8};
 use crate::params::{ExecutionPath, ProtocolParams};
 
-/// Number of rounds after the local committee election.
-const POST_ELECTION_ROUNDS: usize = 9;
+/// One party of the Algorithm 8 protocol.
+pub type TradeoffParty = MpcParty;
 
 /// Total number of rounds of the protocol.
 pub fn rounds(params: &ProtocolParams) -> usize {
-    election_rounds(params) + POST_ELECTION_ROUNDS
+    ALGORITHM_8.rounds(params)
 }
 
-/// One party of the Algorithm 8 protocol.
-///
-/// Message formats are shared with Algorithm 3 ([`MpcMsg`]); only the
-/// communication pattern differs (cover sets instead of the full network).
-pub struct TradeoffParty {
-    id: PartyId,
-    params: ProtocolParams,
-    functionality: Functionality,
-    path: ExecutionPath,
-    input: Vec<u8>,
-    prg: Prg,
-    host: Option<SharedHost>,
-    shared_a: std::sync::Arc<Vec<u64>>,
-
-    elect: Option<LocalCommitteeElectParty>,
-    committee: BTreeSet<PartyId>,
-    is_member: bool,
-    /// This member's cover set `S_c` (members only).
-    cover: BTreeSet<PartyId>,
-    /// The members this party knows cover it (it received their public key).
-    covering_members: BTreeSet<PartyId>,
-    decryptor: Option<ThresholdDecryptor>,
-    contributions: Vec<KeygenContribution>,
-    pk_b: Option<Vec<u64>>,
-    /// Ciphertexts received directly from covered parties (members only).
-    direct_cts: BTreeMap<PartyId, Vec<u8>>,
-    /// The merged view of everyone's ciphertexts (members only).
-    ct_view: BTreeMap<PartyId, Vec<u8>>,
-    equality: Option<PairwiseEquality>,
-    aggregate: Option<LweCiphertext>,
-    partials: Vec<PartialDecryption>,
-    output: Option<Vec<u8>>,
-}
-
-impl std::fmt::Debug for TradeoffParty {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TradeoffParty")
-            .field("id", &self.id)
-            .field("is_member", &self.is_member)
-            .finish_non_exhaustive()
-    }
-}
-
-impl TradeoffParty {
-    /// Creates a party. See [`crate::mpc::MpcParty::new`] for the execution
-    /// path requirements.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an inconsistent configuration.
-    pub fn new(
-        id: PartyId,
-        params: ProtocolParams,
-        functionality: Functionality,
-        path: ExecutionPath,
-        input: Vec<u8>,
-        crs: CommonRandomString,
-        host: Option<SharedHost>,
-    ) -> Self {
-        params.validate();
-        assert_eq!(
-            input.len(),
-            functionality.input_bytes(),
-            "input width does not match the functionality"
-        );
-        match path {
-            ExecutionPath::Concrete => assert!(
-                linear::supports_concrete_path(&params.lwe, &functionality),
-                "functionality does not support the concrete threshold-LWE path"
-            ),
-            ExecutionPath::Hybrid => {
-                assert!(host.is_some(), "the hybrid path requires a shared host")
-            }
-        }
-        let shared_a = crate::crs_cache::shared_matrix(&params.lwe, &crs, b"tradeoff-lwe-matrix");
-        Self {
-            id,
-            params,
-            functionality,
-            path,
-            input,
-            prg: crs.party_prg(id, b"tradeoff-party"),
-            host,
-            shared_a,
-            elect: Some(LocalCommitteeElectParty::new(id, params, crs)),
-            committee: BTreeSet::new(),
-            is_member: false,
-            cover: BTreeSet::new(),
-            covering_members: BTreeSet::new(),
-            decryptor: None,
-            contributions: Vec::new(),
-            pk_b: None,
-            direct_cts: BTreeMap::new(),
-            ct_view: BTreeMap::new(),
-            equality: None,
-            aggregate: None,
-            partials: Vec::new(),
-            output: None,
-        }
-    }
-
-    fn other_members(&self) -> Vec<PartyId> {
-        self.committee
-            .iter()
-            .copied()
-            .filter(|c| *c != self.id)
-            .collect()
-    }
-
-    fn reconstruct_pk(&self, b: &[u64]) -> Option<mpca_crypto::lwe::LwePublicKey> {
-        if b.len() != self.params.lwe.pk_rows {
-            return None;
-        }
-        Some(mpca_crypto::lwe::LwePublicKey {
-            params: self.params.lwe,
-            a: self.shared_a.as_ref().clone(),
-            b: b.to_vec(),
-        })
-    }
-
-    fn hybrid_compute(&mut self) -> Option<Vec<u8>> {
-        let host = self.host.as_ref()?;
-        let cts: Vec<LweCiphertext> = PartyId::all(self.params.n)
-            .map(|p| match self.ct_view.get(&p) {
-                Some(bytes) => {
-                    mpca_wire::from_bytes(bytes).unwrap_or(LweCiphertext { chunks: Vec::new() })
-                }
-                None => LweCiphertext { chunks: Vec::new() },
-            })
-            .collect();
-        host.lock()
-            .expect("encfunc host lock poisoned")
-            .compute(&cts)
-    }
-
-    fn concrete_aggregate(&self) -> Option<LweCiphertext> {
-        let cts: Vec<LweCiphertext> = self
-            .ct_view
-            .values()
-            .filter_map(|bytes| mpca_wire::from_bytes::<LweCiphertext>(bytes).ok())
-            .filter(|ct| ct.chunks.len() == 1 && ct.chunks[0].0.len() == self.params.lwe.dim)
-            .collect();
-        linear::aggregate_ciphertexts(&self.params.lwe, &cts)
-    }
-}
-
-impl PartyLogic for TradeoffParty {
-    type Output = Vec<u8>;
-
-    fn id(&self) -> PartyId {
-        self.id
-    }
-
-    fn on_round(
-        &mut self,
-        round: usize,
-        incoming: &[Envelope],
-        ctx: &mut PartyCtx,
-    ) -> Step<Vec<u8>> {
-        let election_end = election_rounds(&self.params);
-
-        // Phase A: local committee election.
-        if round < election_end {
-            if round == 0 {
-                ctx.milestone(Milestone::CrsReady);
-            }
-            let elect = self.elect.as_mut().expect("election in progress");
-            return match elect.on_round(round, incoming, ctx) {
-                Step::Continue => Step::Continue,
-                Step::Abort(reason) => Step::Abort(reason),
-                Step::Output(LocalCommitteeOutput { view, .. }) => {
-                    if view.committee.is_empty() {
-                        return Step::Abort(AbortReason::MissingMessage("empty committee".into()));
-                    }
-                    self.committee = view.committee;
-                    self.is_member = view.is_member;
-                    self.elect = None;
-                    Step::Continue
-                }
-            };
-        }
-
-        let phase = round - election_end;
-        match phase {
-            // F_Gen sends (members only), exactly as in Algorithm 3.
-            0 => {
-                if self.is_member {
-                    match self.path {
-                        ExecutionPath::Concrete => {
-                            let (contribution, decryptor) = KeygenContribution::generate(
-                                &self.params.lwe,
-                                &self.shared_a,
-                                &mut self.prg,
-                            );
-                            self.contributions.push(contribution.clone());
-                            self.decryptor = Some(decryptor);
-                            ctx.send_to_all(self.other_members(), &MpcMsg::Keygen(contribution));
-                        }
-                        ExecutionPath::Hybrid => {
-                            let host = self.host.as_ref().expect("hybrid host");
-                            let mut r = [0u8; 32];
-                            rand::RngCore::fill_bytes(&mut self.prg, &mut r);
-                            {
-                                let mut host = host.lock().expect("encfunc host lock poisoned");
-                                host.set_expected_members(1);
-                                host.submit_enc_randomness(self.id.index(), r);
-                            }
-                            let cost = self
-                                .params
-                                .cost_model(self.functionality.depth())
-                                .broadcast_payload_bytes(self.params.lambda as usize / 8);
-                            ctx.send_to_all(self.other_members(), &MpcMsg::Filler(vec![0u8; cost]));
-                        }
-                    }
-                }
-                Step::Continue
-            }
-            // Combine the key, sample the cover set, send pk to the cover.
-            1 => {
-                if self.is_member {
-                    for envelope in incoming {
-                        if !self.committee.contains(&envelope.from) {
-                            return Step::Abort(AbortReason::OverReceipt(
-                                "keygen message from a non-member".into(),
-                            ));
-                        }
-                        match envelope.decode::<MpcMsg>() {
-                            Ok(MpcMsg::Keygen(c)) => self.contributions.push(c),
-                            Ok(MpcMsg::Filler(_)) => {}
-                            Ok(_) => {
-                                return Step::Abort(AbortReason::Malformed(
-                                    "unexpected message during keygen".into(),
-                                ))
-                            }
-                            Err(e) => return Step::Abort(AbortReason::Malformed(e.to_string())),
-                        }
-                    }
-                    let pk_b = match self.path {
-                        ExecutionPath::Concrete => {
-                            combine_contributions(
-                                &self.params.lwe,
-                                &self.shared_a,
-                                &self.contributions,
-                            )
-                            .b
-                        }
-                        ExecutionPath::Hybrid => {
-                            let host = self.host.as_ref().expect("hybrid host");
-                            host.lock()
-                                .expect("encfunc host lock poisoned")
-                                .public_key()
-                                .expect("members contributed")
-                                .b
-                        }
-                    };
-                    self.pk_b = Some(pk_b.clone());
-                    // Step 3 of Algorithm 8: sample the cover set S_c.
-                    let _span = mpca_metrics::span("core.tradeoff.cover_draw");
-                    let cover_size = self.params.cover_size();
-                    self.cover = self
-                        .prg
-                        .sample_subset(self.params.n, cover_size)
-                        .into_iter()
-                        .map(PartyId)
-                        .collect();
-                    // Step 4: forward the public key to the cover.
-                    let recipients: Vec<PartyId> = self
-                        .cover
-                        .iter()
-                        .copied()
-                        .filter(|p| *p != self.id)
-                        .collect();
-                    ctx.send_to_all(recipients, &MpcMsg::PublicKey(pk_b));
-                }
-                Step::Continue
-            }
-            // Covered parties: check pk consistency, encrypt, reply to their
-            // covering members (step 5).
-            2 => {
-                let mut received_pk: Option<Vec<u64>> = self.pk_b.clone();
-                for envelope in incoming {
-                    if !self.committee.contains(&envelope.from) {
-                        return Step::Abort(AbortReason::OverReceipt(
-                            "public key from a non-member".into(),
-                        ));
-                    }
-                    match envelope.decode::<MpcMsg>() {
-                        Ok(MpcMsg::PublicKey(b)) => {
-                            self.covering_members.insert(envelope.from);
-                            match &received_pk {
-                                None => received_pk = Some(b),
-                                Some(existing) => {
-                                    if *existing != b {
-                                        return Step::Abort(AbortReason::Equivocation(
-                                            "covering members sent different public keys".into(),
-                                        ));
-                                    }
-                                }
-                            }
-                        }
-                        Ok(_) => {
-                            return Step::Abort(AbortReason::Malformed(
-                                "expected a public key".into(),
-                            ))
-                        }
-                        Err(e) => return Step::Abort(AbortReason::Malformed(e.to_string())),
-                    }
-                }
-                let Some(pk_b) = received_pk else {
-                    // Not covered by any member. Claim 23 makes this
-                    // negligible with an honest committee; abort otherwise.
-                    return Step::Abort(AbortReason::MissingMessage(
-                        "not covered by any committee member".into(),
-                    ));
-                };
-                let Some(pk) = self.reconstruct_pk(&pk_b) else {
-                    return Step::Abort(AbortReason::Malformed(
-                        "public key has wrong shape".into(),
-                    ));
-                };
-                self.pk_b = Some(pk_b);
-                let ct = match self.path {
-                    ExecutionPath::Concrete => linear::encrypt_concrete_input(
-                        &pk,
-                        &mut self.prg,
-                        &self.functionality,
-                        &self.input,
-                    )
-                    .expect("validated at construction"),
-                    ExecutionPath::Hybrid => pk.encrypt_bytes(&mut self.prg, &self.input),
-                };
-                // Members are always "covered" by themselves.
-                if self.is_member {
-                    self.direct_cts.insert(self.id, mpca_wire::to_bytes(&ct));
-                }
-                let recipients: Vec<PartyId> = self
-                    .covering_members
-                    .iter()
-                    .copied()
-                    .filter(|p| *p != self.id)
-                    .collect();
-                ctx.send_to_all(recipients, &MpcMsg::InputCt(ct));
-                ctx.milestone(Milestone::SharesDistributed);
-                Step::Continue
-            }
-            // Members: collect ciphertexts from their cover and forward the
-            // collection to the other members (step 6).
-            3 => {
-                if self.is_member {
-                    for envelope in incoming {
-                        match envelope.decode::<MpcMsg>() {
-                            Ok(MpcMsg::InputCt(ct)) => {
-                                if self
-                                    .direct_cts
-                                    .insert(envelope.from, mpca_wire::to_bytes(&ct))
-                                    .is_some()
-                                {
-                                    return Step::Abort(AbortReason::OverReceipt(format!(
-                                        "two ciphertexts from {}",
-                                        envelope.from
-                                    )));
-                                }
-                            }
-                            Ok(_) => {
-                                return Step::Abort(AbortReason::Malformed(
-                                    "expected an input ciphertext".into(),
-                                ))
-                            }
-                            Err(e) => return Step::Abort(AbortReason::Malformed(e.to_string())),
-                        }
-                    }
-                    self.ct_view = self.direct_cts.clone();
-                    // Re-use the Filler frame to carry the serialized map.
-                    // This is the protocol's heaviest relay (a whole cover's
-                    // ciphertexts): one materialisation, |C| − 1 shares.
-                    let forward =
-                        Payload::encode(&MpcMsg::Filler(mpca_wire::to_bytes(&self.direct_cts)));
-                    ctx.send_payload_to_all(self.other_members(), &forward);
-                } else if !incoming.is_empty() {
-                    return Step::Abort(AbortReason::OverReceipt(
-                        "ciphertext sent to a non-member".into(),
-                    ));
-                }
-                Step::Continue
-            }
-            // Members: merge forwarded collections; abort on conflicting
-            // copies; start the pairwise equality check (step 7).
-            4 => {
-                if self.is_member {
-                    for envelope in incoming {
-                        if !self.committee.contains(&envelope.from) {
-                            return Step::Abort(AbortReason::OverReceipt(
-                                "forwarded ciphertexts from a non-member".into(),
-                            ));
-                        }
-                        match envelope.decode::<MpcMsg>() {
-                            Ok(MpcMsg::Filler(bytes)) => {
-                                let forwarded: BTreeMap<PartyId, Vec<u8>> =
-                                    match mpca_wire::from_bytes(&bytes) {
-                                        Ok(map) => map,
-                                        Err(e) => {
-                                            return Step::Abort(AbortReason::Malformed(
-                                                e.to_string(),
-                                            ))
-                                        }
-                                    };
-                                for (source, ct_bytes) in forwarded {
-                                    match self.ct_view.get(&source) {
-                                        Some(existing) if *existing != ct_bytes => {
-                                            return Step::Abort(AbortReason::Equivocation(
-                                                format!("conflicting ciphertexts for {source}"),
-                                            ));
-                                        }
-                                        Some(_) => {}
-                                        None => {
-                                            self.ct_view.insert(source, ct_bytes);
-                                        }
-                                    }
-                                }
-                            }
-                            Ok(_) => {
-                                return Step::Abort(AbortReason::Malformed(
-                                    "expected forwarded ciphertexts".into(),
-                                ))
-                            }
-                            Err(e) => return Step::Abort(AbortReason::Malformed(e.to_string())),
-                        }
-                    }
-                    let mut equality = PairwiseEquality::new(
-                        self.id,
-                        self.committee.iter().copied(),
-                        self.params.lambda,
-                    );
-                    let encoded = encode_ct_view(&self.ct_view);
-                    ctx.milestone(Milestone::VerificationStart);
-                    for (peer, challenge) in equality.build_challenges(&encoded, &mut self.prg) {
-                        ctx.send_msg(peer, &MpcMsg::CtChallenge(challenge));
-                    }
-                    self.equality = Some(equality);
-                }
-                Step::Continue
-            }
-            // Members: respond to challenges.
-            5 => {
-                if let Some(equality) = &mut self.equality {
-                    let encoded = encode_ct_view(&self.ct_view);
-                    for envelope in incoming {
-                        match envelope.decode::<MpcMsg>() {
-                            Ok(MpcMsg::CtChallenge(challenge)) => {
-                                if envelope.from >= self.id
-                                    || !self.committee.contains(&envelope.from)
-                                {
-                                    equality.mark_failed();
-                                    continue;
-                                }
-                                let response = equality.respond(&challenge, &encoded);
-                                ctx.send_msg(envelope.from, &MpcMsg::CtResponse(response));
-                            }
-                            Ok(_) => {
-                                return Step::Abort(AbortReason::Malformed(
-                                    "expected a ciphertext challenge".into(),
-                                ))
-                            }
-                            Err(e) => return Step::Abort(AbortReason::Malformed(e.to_string())),
-                        }
-                    }
-                }
-                Step::Continue
-            }
-            // Members: verify, then F_Comp sends.
-            6 => {
-                if self.is_member {
-                    let equality = self.equality.as_mut().expect("member ran phase 4");
-                    for envelope in incoming {
-                        match envelope.decode::<MpcMsg>() {
-                            Ok(MpcMsg::CtResponse(response)) => equality.absorb_response(&response),
-                            Ok(_) => {
-                                return Step::Abort(AbortReason::Malformed(
-                                    "expected a ciphertext response".into(),
-                                ))
-                            }
-                            Err(e) => return Step::Abort(AbortReason::Malformed(e.to_string())),
-                        }
-                    }
-                    if equality.failed() {
-                        return Step::Abort(AbortReason::EqualityTestFailed(
-                            "ciphertext views are inconsistent".into(),
-                        ));
-                    }
-                    match self.path {
-                        ExecutionPath::Concrete => {
-                            let Some(aggregate) = self.concrete_aggregate() else {
-                                return Step::Abort(AbortReason::MissingMessage(
-                                    "no valid ciphertexts to aggregate".into(),
-                                ));
-                            };
-                            let decryptor = self.decryptor.as_ref().expect("member ran keygen");
-                            let partial = decryptor.partial_decrypt(&mut self.prg, &aggregate);
-                            self.partials.push(partial.clone());
-                            self.aggregate = Some(aggregate);
-                            ctx.send_to_all(self.other_members(), &MpcMsg::Partial(partial));
-                        }
-                        ExecutionPath::Hybrid => {
-                            let cost = self.params.cost_model(self.functionality.depth());
-                            let output_bits =
-                                8 * self.functionality.output_bytes(self.params.n).max(1);
-                            let bytes = output_bits * cost.partial_decryption_bytes() / 8;
-                            ctx.send_to_all(
-                                self.other_members(),
-                                &MpcMsg::Filler(vec![0u8; bytes.max(1)]),
-                            );
-                        }
-                    }
-                }
-                Step::Continue
-            }
-            // Members: combine and forward the output to their cover (step 9).
-            7 => {
-                if self.is_member {
-                    let output = match self.path {
-                        ExecutionPath::Concrete => {
-                            for envelope in incoming {
-                                if !self.committee.contains(&envelope.from) {
-                                    return Step::Abort(AbortReason::OverReceipt(
-                                        "partial decryption from a non-member".into(),
-                                    ));
-                                }
-                                match envelope.decode::<MpcMsg>() {
-                                    Ok(MpcMsg::Partial(p)) => self.partials.push(p),
-                                    Ok(_) => {
-                                        return Step::Abort(AbortReason::Malformed(
-                                            "expected a partial decryption".into(),
-                                        ))
-                                    }
-                                    Err(e) => {
-                                        return Step::Abort(AbortReason::Malformed(e.to_string()))
-                                    }
-                                }
-                            }
-                            let aggregate = self.aggregate.as_ref().expect("member aggregated");
-                            let Some(chunks) =
-                                combine_partials(&self.params.lwe, aggregate, &self.partials)
-                            else {
-                                return Step::Abort(AbortReason::CryptoFailure(
-                                    "partial decryptions are inconsistent".into(),
-                                ));
-                            };
-                            linear::output_from_chunk(&self.functionality, chunks[0])
-                        }
-                        ExecutionPath::Hybrid => match self.hybrid_compute() {
-                            Some(out) => out,
-                            None => {
-                                return Step::Abort(AbortReason::CryptoFailure(
-                                    "encrypted functionality did not produce an output".into(),
-                                ))
-                            }
-                        },
-                    };
-                    self.output = Some(output.clone());
-                    let recipients: Vec<PartyId> = self
-                        .cover
-                        .iter()
-                        .copied()
-                        .filter(|p| *p != self.id)
-                        .collect();
-                    let payload = Payload::encode(&MpcMsg::Output(output));
-                    ctx.send_payload_to_all(recipients, &payload);
-                }
-                Step::Continue
-            }
-            // Covered parties: check output consistency and terminate.
-            8 => {
-                let mut value: Option<Vec<u8>> = self.output.clone();
-                for envelope in incoming {
-                    if !self.committee.contains(&envelope.from) {
-                        return Step::Abort(AbortReason::OverReceipt(
-                            "output from a non-member".into(),
-                        ));
-                    }
-                    match envelope.decode::<MpcMsg>() {
-                        Ok(MpcMsg::Output(out)) => match &value {
-                            None => value = Some(out),
-                            Some(existing) => {
-                                if *existing != out {
-                                    return Step::Abort(AbortReason::Equivocation(
-                                        "covering members sent different outputs".into(),
-                                    ));
-                                }
-                            }
-                        },
-                        Ok(_) => {
-                            return Step::Abort(AbortReason::Malformed("expected an output".into()))
-                        }
-                        Err(e) => return Step::Abort(AbortReason::Malformed(e.to_string())),
-                    }
-                }
-                match value {
-                    Some(out) => Step::Output(out),
-                    None => Step::Abort(AbortReason::MissingMessage(
-                        "no output received from any covering member".into(),
-                    )),
-                }
-            }
-            _ => Step::Abort(AbortReason::BoundViolated(
-                "tradeoff protocol ran past its rounds".into(),
-            )),
-        }
-    }
-}
-
-/// Builds the honest parties of an Algorithm 8 execution.
+/// Builds the honest parties of an Algorithm 8 execution; see
+/// [`crate::mpc::mpc_parties`].
 pub fn tradeoff_parties(
     params: &ProtocolParams,
     functionality: &Functionality,
     path: ExecutionPath,
     inputs: &[Vec<u8>],
     crs: CommonRandomString,
-    host: Option<SharedHost>,
     corrupted: &BTreeSet<PartyId>,
 ) -> Vec<TradeoffParty> {
-    assert_eq!(inputs.len(), params.n, "one input per party required");
-    PartyId::all(params.n)
-        .filter(|id| !corrupted.contains(id))
-        .map(|id| {
-            TradeoffParty::new(
-                id,
-                *params,
-                functionality.clone(),
-                path,
-                inputs[id.index()].clone(),
-                crs,
-                host.clone(),
-            )
-        })
-        .collect()
-}
-
-/// Creates the shared ideal-functionality host for a hybrid-path execution.
-pub fn hybrid_host(
-    params: &ProtocolParams,
-    functionality: &Functionality,
-    crs: &CommonRandomString,
-) -> SharedHost {
-    let shared_a = crate::crs_cache::shared_matrix(&params.lwe, crs, b"tradeoff-lwe-matrix")
-        .as_ref()
-        .clone();
-    mpca_encfunc::EncFuncHost::new(
-        params.lwe,
-        mpca_encfunc::hybrid::HostFunctionality::Single(functionality.clone()),
-        1,
+    committee_parties(
+        &ALGORITHM_8,
+        params,
+        functionality,
+        path,
+        inputs,
+        crs,
+        corrupted,
     )
-    .with_shared_matrix(shared_a)
-    .shared()
 }
 
 #[cfg(test)]
@@ -718,7 +77,6 @@ mod tests {
             ExecutionPath::Concrete,
             &inputs,
             crs,
-            None,
             &BTreeSet::new(),
         );
         let result = Simulator::all_honest(params.n, parties)
@@ -743,14 +101,12 @@ mod tests {
         let inputs: Vec<Vec<u8>> = (0..params.n).map(|i| vec![(i * 29) as u8]).collect();
         let expected = functionality.evaluate(&inputs);
         let crs = CommonRandomString::from_label(b"tradeoff-hybrid");
-        let host = hybrid_host(&params, &functionality, &crs);
         let parties = tradeoff_parties(
             &params,
             &functionality,
             ExecutionPath::Hybrid,
             &inputs,
             crs,
-            Some(host),
             &BTreeSet::new(),
         );
         let result = Simulator::all_honest(params.n, parties)
@@ -780,7 +136,6 @@ mod tests {
             ExecutionPath::Concrete,
             &inputs,
             crs,
-            None,
             &BTreeSet::new(),
         );
         let result = Simulator::all_honest(params.n, parties)

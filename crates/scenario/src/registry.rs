@@ -93,7 +93,6 @@ pub fn scenario_task<B: ExecutionBackend>(scenario: &Scenario) -> SessionTask<B>
                 ExecutionPath::Concrete,
                 &inputs,
                 crs,
-                None,
                 &skip_construction(&sc),
             );
             finish(&sc, parties)
@@ -125,7 +124,6 @@ pub fn scenario_task<B: ExecutionBackend>(scenario: &Scenario) -> SessionTask<B>
                 ExecutionPath::Concrete,
                 &inputs,
                 crs,
-                None,
                 &skip_construction(&sc),
             );
             finish(&sc, parties)

@@ -40,7 +40,6 @@ fn main() {
         ExecutionPath::Concrete,
         &inputs,
         crs,
-        None,
         &BTreeSet::new(),
     );
     let r1 = Simulator::all_honest(n, parties).unwrap().run().unwrap();
@@ -61,7 +60,6 @@ fn main() {
         ExecutionPath::Concrete,
         &inputs,
         crs,
-        None,
         &BTreeSet::new(),
     );
     let r4 = Simulator::all_honest(n, parties).unwrap().run().unwrap();

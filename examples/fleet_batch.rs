@@ -38,7 +38,6 @@ fn submit_fleet<B: ExecutionBackend>(pool: &mut SessionPool<B>) {
                 ExecutionPath::Concrete,
                 &i,
                 crs,
-                None,
                 &BTreeSet::new(),
             );
             Simulator::all_honest(n, parties)

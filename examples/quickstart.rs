@@ -32,7 +32,6 @@ fn main() {
         ExecutionPath::Concrete,
         &inputs,
         crs,
-        None,
         &BTreeSet::new(),
     );
 

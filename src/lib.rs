@@ -65,7 +65,7 @@
 //! let inputs: Vec<Vec<u8>> = (0..16u16).map(|i| (i * 10).to_le_bytes().to_vec()).collect();
 //! let crs = CommonRandomString::from_label(b"quickstart");
 //! let parties = mpc::mpc_parties(
-//!     &params, &functionality, ExecutionPath::Concrete, &inputs, crs, None, &BTreeSet::new(),
+//!     &params, &functionality, ExecutionPath::Concrete, &inputs, crs, &BTreeSet::new(),
 //! );
 //! let result = Simulator::all_honest(params.n, parties).unwrap().run().unwrap();
 //! let sum = u16::from_le_bytes(result.unanimous_output().unwrap()[..2].try_into().unwrap());

@@ -38,7 +38,6 @@ fn theorem_1_2_and_4_agree_on_the_same_workload() {
         ExecutionPath::Concrete,
         &inputs,
         crs,
-        None,
         &BTreeSet::new(),
     );
     let r1 = Simulator::all_honest(params.n, parties)
@@ -65,7 +64,6 @@ fn theorem_1_2_and_4_agree_on_the_same_workload() {
         ExecutionPath::Concrete,
         &inputs,
         crs,
-        None,
         &BTreeSet::new(),
     );
     let r4 = Simulator::all_honest(params.n, parties)
@@ -103,7 +101,6 @@ fn committee_protocol_with_silent_adversary_is_correct_with_abort() {
         ExecutionPath::Concrete,
         &inputs,
         crs,
-        None,
         &corrupted,
     );
     let result = Simulator::new(
@@ -131,14 +128,12 @@ fn hybrid_path_supports_general_circuits() {
     let inputs: Vec<Vec<u8>> = (0..params.n).map(|i| vec![(i % 5) as u8]).collect();
     let expected = functionality.evaluate(&inputs);
     let crs = CommonRandomString::from_label(b"it-circuit");
-    let host = mpc::hybrid_host(&params, &functionality, &crs);
     let parties = mpc::mpc_parties(
         &params,
         &functionality,
         ExecutionPath::Hybrid,
         &inputs,
         crs,
-        Some(host),
         &BTreeSet::new(),
     );
     let result = Simulator::all_honest(params.n, parties)
@@ -222,7 +217,6 @@ fn communication_scaling_matches_theorem_1_shape() {
             ExecutionPath::Concrete,
             &inputs,
             crs,
-            None,
             &BTreeSet::new(),
         );
         let result = Simulator::all_honest(params.n, parties)

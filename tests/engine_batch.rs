@@ -39,15 +39,8 @@ fn submit_fleet<B: ExecutionBackend>(pool: &mut SessionPool<B>) {
         let (p, f, i) = (params, functionality.clone(), inputs.clone());
         pool.submit(format!("thm1-n{n}-h{h}"), move || {
             let crs = CommonRandomString::from_label(format!("batch-1-{n}-{h}").as_bytes());
-            let parties = mpc::mpc_parties(
-                &p,
-                &f,
-                ExecutionPath::Concrete,
-                &i,
-                crs,
-                None,
-                &BTreeSet::new(),
-            );
+            let parties =
+                mpc::mpc_parties(&p, &f, ExecutionPath::Concrete, &i, crs, &BTreeSet::new());
             Simulator::all_honest(n, parties)
         });
 
@@ -68,7 +61,6 @@ fn submit_fleet<B: ExecutionBackend>(pool: &mut SessionPool<B>) {
                 ExecutionPath::Concrete,
                 &inputs,
                 crs,
-                None,
                 &BTreeSet::new(),
             );
             Simulator::all_honest(n, parties)
@@ -193,7 +185,6 @@ fn mpc_commstats_matches_pre_refactor_golden_vector() {
         ExecutionPath::Concrete,
         &inputs,
         crs,
-        None,
         &BTreeSet::new(),
     );
     let result = Simulator::all_honest(n, parties).unwrap().run().unwrap();
@@ -229,7 +220,6 @@ fn pooled_session_matches_direct_simulator_run() {
             ExecutionPath::Concrete,
             &inputs,
             crs,
-            None,
             &BTreeSet::new(),
         );
         Simulator::all_honest(n, parties).unwrap()
@@ -241,15 +231,7 @@ fn pooled_session_matches_direct_simulator_run() {
     let (p, f, i) = (params, functionality.clone(), inputs.clone());
     pool.submit("spot", move || {
         let crs = CommonRandomString::from_label(b"spot");
-        let parties = mpc::mpc_parties(
-            &p,
-            &f,
-            ExecutionPath::Concrete,
-            &i,
-            crs,
-            None,
-            &BTreeSet::new(),
-        );
+        let parties = mpc::mpc_parties(&p, &f, ExecutionPath::Concrete, &i, crs, &BTreeSet::new());
         Simulator::all_honest(n, parties)
     });
     let batch = pool.run().unwrap();

@@ -114,7 +114,6 @@ proptest! {
                     ExecutionPath::Concrete,
                     &inputs,
                     crs,
-                    None,
                     &BTreeSet::new(),
                 );
                 Simulator::all_honest(n, parties).unwrap()

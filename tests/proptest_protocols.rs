@@ -1,6 +1,8 @@
 //! Property-based tests over the protocol stack: for random inputs, random
 //! network sizes and random corruption sets, the paper's correctness-with-
 //! abort guarantee must hold — no honest party ever outputs a wrong value.
+//! The committee properties run every case through both committee
+//! protocols: Algorithm 3 (Theorem 1) and Algorithm 8 (Theorem 4).
 
 use std::collections::BTreeSet;
 
@@ -9,7 +11,7 @@ use proptest::prelude::*;
 use mpc_aborts::crypto::lwe::LweParams;
 use mpc_aborts::encfunc::Functionality;
 use mpc_aborts::net::{CommonRandomString, PartyId, SilentAdversary, SimConfig, Simulator};
-use mpc_aborts::protocols::{all_to_all, local_mpc, mpc, ExecutionPath, ProtocolParams};
+use mpc_aborts::protocols::{all_to_all, local_mpc, mpc, tradeoff, ExecutionPath, ProtocolParams};
 
 fn sum_params(n: usize, h: usize) -> ProtocolParams {
     ProtocolParams::new(n, h).with_lwe(LweParams {
@@ -33,11 +35,13 @@ proptest! {
         let expected: u16 = values[..n].iter().fold(0u16, |a, v| a.wrapping_add(*v));
         let functionality = Functionality::Sum { input_bytes: 2 };
         let crs = CommonRandomString::from_label(&seed.to_le_bytes());
-        let parties = mpc::mpc_parties(
-            &params, &functionality, ExecutionPath::Concrete, &inputs, crs, None, &BTreeSet::new(),
-        );
-        let result = Simulator::all_honest(n, parties).unwrap().run().unwrap();
-        prop_assert!(result.correct_or_aborted(&expected.to_le_bytes().to_vec()));
+        for build in [mpc::mpc_parties, tradeoff::tradeoff_parties] {
+            let parties = build(
+                &params, &functionality, ExecutionPath::Concrete, &inputs, crs, &BTreeSet::new(),
+            );
+            let result = Simulator::all_honest(n, parties).unwrap().run().unwrap();
+            prop_assert!(result.correct_or_aborted(&expected.to_le_bytes().to_vec()));
+        }
     }
 
     #[test]
@@ -63,19 +67,21 @@ proptest! {
             .filter(|(i, _)| !corrupted.contains(&PartyId(*i)))
             .fold(0u16, |a, (_, v)| a.wrapping_add(u16::from_le_bytes([v[0], v[1]])));
         let crs = CommonRandomString::from_label(&seed.to_le_bytes());
-        let parties = mpc::mpc_parties(
-            &params, &functionality, ExecutionPath::Concrete, &inputs, crs, None, &corrupted,
-        );
-        let result = Simulator::new(
-            params.n,
-            parties,
-            Box::new(SilentAdversary::new(corrupted)),
-            SimConfig::default(),
-        )
-        .unwrap()
-        .run()
-        .unwrap();
-        prop_assert!(result.correct_or_aborted(&honest_total.to_le_bytes().to_vec()));
+        for build in [mpc::mpc_parties, tradeoff::tradeoff_parties] {
+            let parties = build(
+                &params, &functionality, ExecutionPath::Concrete, &inputs, crs, &corrupted,
+            );
+            let result = Simulator::new(
+                params.n,
+                parties,
+                Box::new(SilentAdversary::new(corrupted.clone())),
+                SimConfig::default(),
+            )
+            .unwrap()
+            .run()
+            .unwrap();
+            prop_assert!(result.correct_or_aborted(&honest_total.to_le_bytes().to_vec()));
+        }
     }
 
     #[test]

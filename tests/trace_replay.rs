@@ -2,6 +2,16 @@
 //! backends, framing-aware equivocation flagged as an identified abort
 //! (never a parse error), milestone-armed triggers, and flood junk tagged
 //! distinctly enough to recompute the exclusion logic from the trace alone.
+//!
+//! The tiny sweep's recording at seed 0 is pinned in
+//! `tests/golden/sweep_tiny_trace.json`, the file
+//! `campaign --sweep --tiny --seed 0 --record` writes. Its digests fold
+//! every send, milestone and abort text of the sweep's adversarial
+//! sessions. Regenerate it after an *intentional* protocol change with:
+//!
+//! ```sh
+//! MPCA_BLESS=1 cargo test --test trace_replay tiny_sweep
+//! ```
 
 use std::collections::BTreeSet;
 
@@ -13,6 +23,11 @@ use mpc_aborts::scenario::{
     ScenarioPlan, TriggerSpec, Verdict,
 };
 use mpc_aborts::trace::TraceFile;
+
+const SWEEP_TRACE_FIXTURE: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/golden/sweep_tiny_trace.json"
+);
 
 #[test]
 fn tiny_sweep_records_and_replays_byte_identically_across_backends() {
@@ -36,8 +51,24 @@ fn tiny_sweep_records_and_replays_byte_identically_across_backends() {
         "parallel replay must reproduce every digest: {mismatches:?}"
     );
 
+    // The rendered file is pinned. Unlike the honest hot-path digests,
+    // these fold the abort texts of the sweep's adversarial sessions.
+    let rendered = recorded.render();
+    if std::env::var_os("MPCA_BLESS").is_some() {
+        std::fs::write(SWEEP_TRACE_FIXTURE, &rendered).expect("write golden fixture");
+        eprintln!("blessed {SWEEP_TRACE_FIXTURE}");
+    } else {
+        let golden =
+            std::fs::read_to_string(SWEEP_TRACE_FIXTURE).expect("golden fixture is checked in");
+        assert_eq!(
+            rendered, golden,
+            "the tiny sweep's trace digests diverged from the golden recording; \
+             regenerate with MPCA_BLESS=1 only for an intentional protocol change"
+        );
+    }
+
     // The file round-trips through its rendered form.
-    let parsed = TraceFile::parse(&recorded.render()).expect("rendered file parses");
+    let parsed = TraceFile::parse(&rendered).expect("rendered file parses");
     assert_eq!(parsed, recorded);
     // A corrupted digest is caught.
     let mut corrupted = recorded.clone();
