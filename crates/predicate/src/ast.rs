@@ -1,10 +1,10 @@
-//! The predicate AST and violation reporting types.
+//! The predicate rules and violation reporting types.
 
 use mpca_metrics::Phase;
 use mpca_net::MilestoneKind;
 use mpca_trace::TaggedTrace;
 
-use crate::eval::Evaluator;
+use crate::eval;
 
 /// An inclusive window of stream indices into a tagged trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,32 +38,8 @@ pub struct Violation {
     pub details: String,
 }
 
-/// A per-party obligation, universally quantified by
-/// [`Predicate::ForAllParties`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PartyRule {
-    /// The party's honest (non-injected) sent bytes never exceed the limit.
-    SentBytesAtMost(u64),
-    /// The party sends nothing honest after it emits this milestone kind.
-    NoSendAfter(MilestoneKind),
-}
-
-/// A per-round obligation, universally quantified by
-/// [`Predicate::ForAllRounds`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RoundRule {
-    /// Charged bytes within any single round never exceed the limit.
-    BytesAtMost(u64),
-    /// Charged envelopes within any single round never exceed the limit.
-    EnvelopesAtMost(u64),
-}
-
-/// A trace predicate: the combinator language, compiled to a single-pass
-/// evaluator by [`Predicate::eval`].
-///
-/// Leaves observe the tagged entry stream; combinators compose outcomes.
-/// Every leaf latches its **first** violation, so evaluation order (and
-/// therefore the reported span) is deterministic.
+/// A trace predicate: one named rule over the tagged entry stream,
+/// checked by [`Predicate::eval`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Predicate {
     /// Every honest (non-injected) send decodes to a known frame of the
@@ -78,13 +54,13 @@ pub enum Predicate {
         /// [`FamilySpec::consistency_tags`](mpca_core::FamilySpec::consistency_tags)).
         tags: Vec<&'static str>,
     },
-    /// Bytes charged to `phase` under the `PhaseLedger` rules (monotone
+    /// Bytes charged to each phase under the `PhaseLedger` rules (monotone
     /// milestone clock; injected sends only when the execution charges
-    /// adversary bytes) never exceed `limit_bytes`.
+    /// adversary bytes) never exceed `limit_bytes`. A charged send adds to
+    /// exactly one phase, the clock's current one, so the first crossing
+    /// names a single phase.
     PhaseCeiling {
-        /// The phase under budget.
-        phase: Phase,
-        /// The inclusive byte ceiling.
+        /// The inclusive per-phase byte ceiling.
         limit_bytes: u64,
     },
     /// The execution never charges adversary-injected bytes to the
@@ -109,36 +85,24 @@ pub enum Predicate {
         /// The milestone kind that seals it.
         after: MilestoneKind,
     },
-    /// `rule` holds for every party.
-    ForAllParties(PartyRule),
-    /// `rule` holds for every round.
-    ForAllRounds(RoundRule),
-    /// Every child holds. Violated by the earliest child violation.
-    All(Vec<Predicate>),
-    /// Some child holds. Violated — at the earliest child span — only when
-    /// all children are violated.
-    Any(Vec<Predicate>),
-    /// The child is violated. When the child holds instead, the violation
-    /// spans the whole trace (there is no single witnessing event).
-    Not(Box<Predicate>),
 }
 
 impl Predicate {
-    /// Compiles to a streaming [`Evaluator`].
-    ///
-    /// `charges_adversary_bytes` is the recording execution's charging
-    /// flag; it parameterises the charging-sensitive leaves exactly as
-    /// [`TaggedTrace::charges_adversary_bytes`] does for a recorded trace.
-    pub(crate) fn compile(&self, charges_adversary_bytes: bool) -> Evaluator {
-        Evaluator::new(self, charges_adversary_bytes)
-    }
-
-    /// Evaluates over a recorded trace: compile, feed every entry, finish.
+    /// Scans `trace` once, in stream order, and returns the first
+    /// violation (`None` when the predicate holds).
     pub fn eval(&self, trace: &TaggedTrace) -> Option<Violation> {
-        let mut evaluator = self.compile(trace.charges_adversary_bytes);
-        for entry in &trace.entries {
-            evaluator.feed(entry);
+        match self {
+            Predicate::FramesLegal => eval::frames_legal(trace),
+            Predicate::BroadcastConsistency { tags } => eval::broadcast_consistency(trace, tags),
+            Predicate::PhaseCeiling { limit_bytes } => eval::phase_ceiling(trace, *limit_bytes),
+            Predicate::FloodingNeverCharged => eval::flooding_never_charged(trace),
+            Predicate::NoSendAfterTermination => eval::no_send_after_termination(trace),
+            Predicate::DetectionAbortImpliesVerification => {
+                eval::detection_abort_implies_verification(trace)
+            }
+            Predicate::NoPhaseBytesAfter { phase, after } => {
+                eval::no_phase_bytes_after(trace, *phase, *after)
+            }
         }
-        evaluator.finish()
     }
 }

@@ -1,34 +1,34 @@
 //! # mpca-predicate
 //!
-//! The **trace-predicate language**: a small combinator algebra over
-//! [`TaggedTrace`](mpca_trace::TaggedTrace) streams, compiled to
-//! single-pass evaluators that scan a recorded trace once and report the
-//! first violating event span.
+//! The **trace predicates**: seven named rules over a
+//! [`TaggedTrace`](mpca_trace::TaggedTrace), each checked by one batch
+//! scan that walks the trace's entries in stream order and stops at the
+//! first violation.
 //!
 //! The paper's security claims — agreement-or-abort, identified abort, the
 //! Theorem 3 flooding rule, per-phase byte budgets — are claims *about the
 //! event stream*: which frames crossed the wire, in which phase, charged to
 //! whom, before or after which milestone. This crate states those claims as
-//! data ([`Predicate`]) and checks them as single passes:
+//! data ([`Predicate`]) and checks each with one pass:
 //!
 //! * **frame-sequence legality** ([`Predicate::FramesLegal`]): every honest
 //!   envelope decodes under the family's
 //!   [`FrameSchema`](mpca_core::FrameSchema);
+//! * **broadcast consistency** ([`Predicate::BroadcastConsistency`]): all
+//!   copies of a replicated frame carry the same bytes;
 //! * **per-phase byte ceilings** ([`Predicate::PhaseCeiling`]): the
-//!   `PhaseLedger` charging rules replayed incrementally against a limit;
+//!   `PhaseLedger` charging rules replayed against one limit for every
+//!   phase;
+//! * **the flooding rule** ([`Predicate::FloodingNeverCharged`]): injected
+//!   bytes are never charged;
 //! * **temporal rules**: no honest send after a party's termination
 //!   ([`Predicate::NoSendAfterTermination`]), detection aborts imply a
 //!   prior verification phase
 //!   ([`Predicate::DetectionAbortImpliesVerification`]), no CRS-phase bytes
-//!   after the committee announcement ([`Predicate::NoPhaseBytesAfter`]);
-//! * **quantifiers** over parties and rounds ([`Predicate::ForAllParties`],
-//!   [`Predicate::ForAllRounds`]) and the boolean closure
-//!   ([`Predicate::All`], [`Predicate::Any`], [`Predicate::Not`]).
+//!   after the committee announcement ([`Predicate::NoPhaseBytesAfter`]).
 //!
-//! [`Predicate::eval`] compiles a predicate into a streaming machine and
-//! feeds it every [`TaggedEntry`](mpca_trace::TaggedEntry) of the trace
-//! once, in stream order; [`eval_set`] evaluates a named set, predicate by
-//! predicate.
+//! [`Predicate::eval`] runs one rule's scan; [`eval_set`] evaluates a named
+//! set, predicate by predicate.
 //!
 //! A violation is reported as the **first violating event span**
 //! ([`Violation`]): the inclusive `[start, end]` window of stream indices
@@ -52,5 +52,5 @@ mod ast;
 mod eval;
 mod set;
 
-pub use ast::{PartyRule, Predicate, RoundRule, Span, Violation};
+pub use ast::{Predicate, Span, Violation};
 pub use set::{eval_set, full_set, standard_set, NamedPredicate, SetViolation};

@@ -33,9 +33,8 @@ pub struct SetViolation {
 /// mechanism (the
 /// [`verification_is_sole_detector`](mpca_core::FamilySpec::verification_is_sole_detector)
 /// flag of the family's row) — detection-in-verification. With
-/// `phase_budget`, adds a uniform per-phase byte ceiling (one
-/// [`Predicate::PhaseCeiling`] per phase under one `"phase-ceilings"`
-/// name).
+/// `phase_budget`, adds a uniform per-phase byte ceiling
+/// ([`Predicate::PhaseCeiling`], named `"phase-ceilings"`).
 ///
 /// This is the set the scenario oracle evaluates as its `P` property.
 pub fn standard_set(kind: ProtocolKind, phase_budget: Option<u64>) -> Vec<NamedPredicate> {
@@ -71,12 +70,7 @@ pub fn standard_set(kind: ProtocolKind, phase_budget: Option<u64>) -> Vec<NamedP
     if let Some(limit_bytes) = phase_budget {
         set.push(NamedPredicate {
             name: "phase-ceilings",
-            predicate: Predicate::All(
-                Phase::ALL
-                    .into_iter()
-                    .map(|phase| Predicate::PhaseCeiling { phase, limit_bytes })
-                    .collect(),
-            ),
+            predicate: Predicate::PhaseCeiling { limit_bytes },
         });
     }
     set

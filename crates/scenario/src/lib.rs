@@ -64,7 +64,7 @@ pub mod spec;
 
 pub use cex::{CexMismatch, Counterexample, CEX_SCHEMA};
 pub use codec::{encode_spec, parse_spec};
-pub use oracle::{Oracle, Property, PropertyCheck, ScenarioOutcome, Verdict};
+pub use oracle::{Property, PropertyCheck, ScenarioOutcome, Verdict};
 pub use plan::{
     campaign_by_name, standard_campaign, sweep_campaign, tiny_campaign, tiny_sweep_campaign,
     Campaign, Expectation, Scenario, ScenarioPlan,

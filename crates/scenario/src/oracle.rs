@@ -1,7 +1,7 @@
 //! The security-property oracle: every executed scenario is checked against
 //! the paper's guarantees.
 //!
-//! The [`Oracle`] evaluates a pool [`SessionReport`] (outcome digests,
+//! [`evaluate`] checks a pool [`SessionReport`] (outcome digests,
 //! structured abort reasons, `CommStats`) against six predicates drawn
 //! from the paper's §3.1 model and theorem statements:
 //!
@@ -260,8 +260,9 @@ fn charged_honest_bits(report: &SessionReport) -> u64 {
     report.stats.bytes_sent_by(&honest) * 8
 }
 
-/// The security-property oracle: a stateless evaluator turning one executed
-/// scenario (its [`SessionReport`]) into per-property verdicts.
+/// Evaluates one executed scenario against every security property, in
+/// [`Property::ALL`] order, turning its [`SessionReport`] into
+/// per-property verdicts.
 ///
 /// The campaign layer calls it on every session; it is equally usable
 /// standalone — hand it any report and it will judge it against the paper's
@@ -272,7 +273,7 @@ fn charged_honest_bits(report: &SessionReport) -> u64 {
 /// use mpca_engine::{OutcomeDigest, SessionReport};
 /// use mpca_net::CommStats;
 /// use mpca_net::PartyId;
-/// use mpca_scenario::{AdversarySpec, Oracle, ScenarioPlan};
+/// use mpca_scenario::{oracle, AdversarySpec, ScenarioPlan};
 /// use std::collections::BTreeMap;
 /// use std::time::Duration;
 ///
@@ -299,45 +300,27 @@ fn charged_honest_bits(report: &SessionReport) -> u64 {
 ///     queue_wait: Duration::ZERO,
 ///     phase_bytes: mpca_metrics::PhaseBytes::new(),
 /// };
-/// let outcome = Oracle::new().evaluate(scenario, report);
+/// let outcome = oracle::evaluate(scenario, report);
 /// assert!(outcome.holds());
 /// assert_eq!(outcome.verdict_letters(), "HHHHHH");
 /// ```
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Oracle;
-
-impl Oracle {
-    /// A new oracle.
-    pub fn new() -> Self {
-        Oracle
-    }
-
-    /// Evaluates one executed scenario against every security property, in
-    /// [`Property::ALL`] order.
-    pub fn evaluate(&self, scenario: Scenario, report: SessionReport) -> ScenarioOutcome {
-        let corrupted = scenario.corrupted();
-
-        let agreement = check_agreement(&report);
-        let identified = check_identified_abort(&report);
-        let flooding = check_flooding(&report, &corrupted);
-        let budget = check_budget(&scenario, &report);
-        let locality = check_locality(&scenario, &report);
-        let predicates = check_trace_predicates(&scenario, &report);
-
-        ScenarioOutcome {
-            scenario,
-            report,
-            checks: vec![
-                agreement, identified, flooding, budget, locality, predicates,
-            ],
-        }
-    }
-}
-
-/// Evaluates one executed scenario against every security property
-/// (the free-function form of [`Oracle::evaluate`]).
 pub fn evaluate(scenario: Scenario, report: SessionReport) -> ScenarioOutcome {
-    Oracle::new().evaluate(scenario, report)
+    let corrupted = scenario.corrupted();
+
+    let agreement = check_agreement(&report);
+    let identified = check_identified_abort(&report);
+    let flooding = check_flooding(&report, &corrupted);
+    let budget = check_budget(&scenario, &report);
+    let locality = check_locality(&scenario, &report);
+    let predicates = check_trace_predicates(&scenario, &report);
+
+    ScenarioOutcome {
+        scenario,
+        report,
+        checks: vec![
+            agreement, identified, flooding, budget, locality, predicates,
+        ],
+    }
 }
 
 fn check_agreement(report: &SessionReport) -> PropertyCheck {

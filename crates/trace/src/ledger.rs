@@ -19,8 +19,6 @@
 use mpca_metrics::{PhaseBytes, PhaseClock};
 use mpca_net::{TraceEvent, TraceLog};
 
-use crate::tagged::{TaggedEntry, TaggedTrace};
-
 /// Per-phase byte attribution re-derived from a trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PhaseLedger {
@@ -44,36 +42,18 @@ impl PhaseLedger {
             match event {
                 TraceEvent::Send {
                     payload, injected, ..
-                } => ledger.charge(&clock, payload.len() as u64, *injected, charges_adversary),
+                } => {
+                    let side = if !injected || charges_adversary {
+                        &mut ledger.bytes
+                    } else {
+                        &mut ledger.uncharged_injected
+                    };
+                    side.charge(clock.current(), payload.len() as u64);
+                }
                 TraceEvent::Milestone(m) => clock.advance_to(m.milestone.kind().phase()),
             }
         }
         ledger
-    }
-
-    /// Replays a [`TaggedTrace`] — same rules, operating on the decoded
-    /// view (sizes and milestone names) instead of raw events.
-    pub fn of_tagged(trace: &TaggedTrace) -> Self {
-        let charges_adversary = trace.charges_adversary_bytes;
-        let mut clock = PhaseClock::new();
-        let mut ledger = PhaseLedger::default();
-        for entry in &trace.entries {
-            match entry {
-                TaggedEntry::Send {
-                    bytes, injected, ..
-                } => ledger.charge(&clock, *bytes as u64, *injected, charges_adversary),
-                TaggedEntry::Milestone { kind, .. } => clock.advance_to(kind.phase()),
-            }
-        }
-        ledger
-    }
-
-    fn charge(&mut self, clock: &PhaseClock, bytes: u64, injected: bool, charges_adversary: bool) {
-        if !injected || charges_adversary {
-            self.bytes.charge(clock.current(), bytes);
-        } else {
-            self.uncharged_injected.charge(clock.current(), bytes);
-        }
     }
 
     /// Total bytes the ledger charged — must equal
@@ -86,7 +66,6 @@ impl PhaseLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpca_core::ProtocolKind;
     use mpca_metrics::Phase;
     use mpca_net::{Milestone, MilestoneEvent, PartyId, Payload};
 
@@ -161,7 +140,7 @@ mod tests {
     }
 
     #[test]
-    fn tagged_replay_matches_raw_replay() {
+    fn injections_are_attributed_to_their_running_phase() {
         let mut log = TraceLog::new();
         log.push(send(0, 16, false));
         log.push(milestone(0, Milestone::CommitteeAnnounced));
@@ -175,14 +154,14 @@ mod tests {
         ));
         log.push(send(2, 8, false));
 
-        // Raw payloads here are junk under every schema; tagging still
-        // preserves sizes, injected flags and milestone order.
-        let tagged = TaggedTrace::new(&log, ProtocolKind::Broadcast);
-        assert_eq!(PhaseLedger::of_tagged(&tagged), PhaseLedger::of(&log));
+        let ledger = PhaseLedger::of(&log);
+        assert_eq!(ledger.bytes.get(Phase::Committee), 32);
+        assert_eq!(ledger.uncharged_injected.get(Phase::Committee), 64);
+        assert_eq!(ledger.bytes.get(Phase::Output), 8);
 
         log.set_charges_adversary_bytes(true);
-        let tagged = TaggedTrace::new(&log, ProtocolKind::Broadcast);
-        assert_eq!(PhaseLedger::of_tagged(&tagged), PhaseLedger::of(&log));
-        assert_eq!(PhaseLedger::of(&log).total(), 16 + 32 + 64 + 8);
+        let charged = PhaseLedger::of(&log);
+        assert_eq!(charged.bytes.get(Phase::Committee), 32 + 64);
+        assert_eq!(charged.total(), 16 + 32 + 64 + 8);
     }
 }

@@ -16,9 +16,12 @@
 //!   `SessionReport`, **inside the parallel == sequential equality
 //!   contract** — so backend equivalence now covers the entire event
 //!   stream, not just its aggregates.
-//! * [`TaggedTrace`] — the human-facing view: every send annotated with
+//! * [`TaggedTrace`] — the predicates' input: every send annotated with
 //!   the frame tag its payload decodes to under the protocol family's
-//!   [`FrameSchema`](mpca_core::FrameSchema), interleaved with milestones.
+//!   [`FrameSchema`](mpca_core::FrameSchema) and a fingerprint of its
+//!   bytes, interleaved with milestones. `mpca-predicate` scans it.
+//! * [`PhaseLedger`] — per-phase byte attribution replayed from a
+//!   [`TraceLog`](mpca_net::TraceLog), reconciled with the simulator's.
 //! * [`TraceFile`] — the `campaign --record` / `--replay` artefact: one
 //!   digest line per scenario, plus the campaign identity needed to
 //!   re-execute the captured schedule byte-identically and

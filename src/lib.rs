@@ -26,10 +26,10 @@
 //!   structured event stream ([`TraceSummary`](trace::TraceSummary)),
 //!   frame-tagged transcripts, and the `campaign --record` / `--replay`
 //!   file format,
-//! * [`predicate`] — the trace-predicate plane: a combinator language over
-//!   frame-tagged transcripts (frame legality, per-phase byte ceilings,
-//!   temporal rules, quantifiers) compiled into single-pass evaluators that
-//!   report the first violating event span,
+//! * [`predicate`] — the trace-predicate plane: seven named rules over
+//!   frame-tagged transcripts (frame legality, broadcast consistency, a
+//!   per-phase byte ceiling, the flooding rule, temporal rules), each a
+//!   batch scan that reports the first violating event span,
 //! * [`engine`] — the batch-execution runtime: sequential/parallel
 //!   round-stepping backends and a [`SessionPool`](engine::SessionPool) for
 //!   running fleets of sessions concurrently with deterministic results,

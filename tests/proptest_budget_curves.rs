@@ -16,7 +16,7 @@ use mpc_aborts::engine::{Sequential, SessionPool};
 use mpc_aborts::net::{CommStats, PartyId};
 use mpc_aborts::protocols::{ProtocolKind, BUDGET_SLACK};
 use mpc_aborts::scenario::{
-    registry, sweep_campaign, AdversarySpec, Oracle, Property, Scenario, ScenarioPlan, Verdict,
+    oracle, registry, sweep_campaign, AdversarySpec, Property, Scenario, ScenarioPlan, Verdict,
 };
 
 fn honest_sweep_scenarios(seed: u64) -> Vec<Scenario> {
@@ -40,7 +40,7 @@ proptest! {
         }
         let batch = pool.run().expect("honest sweep scenarios run");
         for (scenario, report) in scenarios.into_iter().zip(batch.sessions) {
-            let outcome = Oracle::new().evaluate(scenario, report);
+            let outcome = oracle::evaluate(scenario, report);
             for property in [Property::CommBudget, Property::LocalityBudget] {
                 let check = outcome.check(property);
                 prop_assert!(
@@ -92,7 +92,7 @@ proptest! {
         rigged.set_rounds(report.rounds);
         report.stats = rigged;
 
-        let outcome = Oracle::new().evaluate(scenario, report);
+        let outcome = oracle::evaluate(scenario, report);
         prop_assert!(
             outcome.check(Property::CommBudget).verdict == Verdict::Violated,
             "{} bytes must overflow budget {} bits",

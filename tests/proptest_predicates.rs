@@ -6,7 +6,8 @@
 //! meaningful first-violation event span. The memoised tagging
 //! (`TaggedTrace::new`, which tags each shared payload buffer once) must
 //! agree entry for entry with the un-memoised reference
-//! (`TaggedEntry::of_event`, which tags event by event).
+//! (`TaggedEntry::of_event`, which tags event by event), and the phase
+//! ceiling must sit exactly at the simulator's largest per-phase byte count.
 
 use proptest::prelude::*;
 
@@ -65,7 +66,7 @@ fn frame_target(kind: ProtocolKind) -> (&'static str, &'static str) {
     }
 }
 
-/// The runs the tagging check covers for one family, with whether each
+/// The runs the cross-path checks cover for one family, with whether each
 /// charges adversary bytes: honest, a charged flood (one junk buffer
 /// shared by every flooded envelope), a plain equivocation and a
 /// frame-field tamper.
@@ -102,40 +103,49 @@ fn cross_path_adversaries(kind: ProtocolKind) -> Vec<(AdversarySpec, bool)> {
 }
 
 /// Checks the memoised tagging against the per-event reference on one
-/// retained stream: entries equal apart from tamper attribution, and no
-/// honest entry attributed.
-fn assert_tagging_agrees(kind: ProtocolKind, log: &TraceLog, what: &str) {
-    let schema = FrameSchema::new(kind);
-    let tagged = TaggedTrace::new(log, kind);
-    assert_eq!(tagged.entries.len(), log.len(), "{what}");
-    for (index, (entry, event)) in tagged.entries.iter().zip(log.events()).enumerate() {
-        let mut untampered = entry.clone();
-        if let TaggedEntry::Send {
-            injected, tampered, ..
-        } = &mut untampered
-        {
-            assert!(
-                *injected || tampered.is_none(),
-                "{what}: honest entry {index} attributed to {tampered:?}"
-            );
-            *tampered = None;
-        }
+/// retained stream, entry for entry.
+fn assert_tagging_agrees(trace: &TaggedTrace, log: &TraceLog, what: &str) {
+    let schema = FrameSchema::new(trace.kind);
+    assert_eq!(trace.entries.len(), log.len(), "{what}");
+    for (index, (entry, event)) in trace.entries.iter().zip(log.events()).enumerate() {
         assert_eq!(
-            untampered,
+            *entry,
             TaggedEntry::of_event(event, &schema),
             "{what}: entry {index}"
         );
     }
 }
 
+/// Checks that the phase ceiling follows the simulator's phase bytes: with
+/// `max` the largest cell of `report.phase_bytes`, a `max` ceiling holds
+/// and a `max - 1` ceiling is crossed.
+fn assert_phase_ceiling_is_tight(trace: &TaggedTrace, report: &SessionReport, what: &str) {
+    let max = report.phase_bytes.as_array().into_iter().max().unwrap_or(0);
+    assert!(max > 0, "{what}: the run charged no bytes");
+    let crossed = |limit: u64| {
+        eval_set(&full_set(trace.kind, Some(limit)), trace)
+            .iter()
+            .any(|v| v.name == "phase-ceilings")
+    };
+    assert!(!crossed(max), "{what}: a {max} B ceiling must hold");
+    assert!(
+        crossed(max - 1),
+        "{what}: a {} B ceiling must be crossed",
+        max - 1
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Memoised and per-event tagging agree on every family, under honest
-    /// runs, shared-buffer floods, equivocation and frame tampers, on both
-    /// backends.
+    /// On every family, under honest runs, shared-buffer floods,
+    /// equivocation and frame tampers, on both backends: memoised and
+    /// per-event tagging agree, and the phase ceiling sits exactly at the
+    /// simulator's largest phase.
     #[test]
-    fn memoised_and_per_event_tagging_agree_for_all_families(seed in any::<u64>()) {
+    fn tagging_and_phase_ceilings_agree_with_their_references_for_all_families(
+        seed in any::<u64>(),
+    ) {
         for kind in ProtocolKind::ALL {
             for (adversary, charge) in cross_path_adversaries(kind) {
                 let scenario = scenario(kind, adversary, charge, seed);
@@ -149,7 +159,9 @@ proptest! {
                         kind.name(),
                         scenario.adversary.name()
                     );
-                    assert_tagging_agrees(kind, log, &what);
+                    let trace = TaggedTrace::new(log, kind);
+                    assert_tagging_agrees(&trace, log, &what);
+                    assert_phase_ceiling_is_tight(&trace, &report, &what);
                 }
             }
         }

@@ -28,6 +28,24 @@ fn search_is_deterministic_across_backends() {
     let parallel = run_search(&config, Parallel::default()).expect("search executes");
     assert_eq!(sequential.executed, parallel.executed);
     assert_eq!(sequential.coverage, parallel.coverage);
+    // Pinned signatures: a rule that stopped firing on the thm1, thm4 or
+    // unchecked-sum equivocators, or on the charged flood, drops its line.
+    let expected = [
+        "all-to-all|HHHHHH|",
+        "all-to-all|HHVHHV|flooding-never-charged",
+        "broadcast|HHHHHH|",
+        "thm1-mpc|HHHHHH|",
+        "thm1-mpc|HHHHHH|broadcast-consistency",
+        "thm2-local-mpc|HHHHHH|",
+        "thm4-tradeoff|HHHHHH|broadcast-consistency",
+        "unchecked-sum|HHHHHH|",
+        "unchecked-sum|VHHHHH|broadcast-consistency",
+    ];
+    let coverage: Vec<&str> = sequential.coverage.iter().map(String::as_str).collect();
+    assert_eq!(
+        coverage, expected,
+        "coverage signatures of the tiny search at seed 5, budget 16"
+    );
     assert_eq!(
         sequential.counterexamples, parallel.counterexamples,
         "same seed, same counterexamples, whatever the backend"
