@@ -293,13 +293,12 @@ impl PartyLogic for SuccinctAllToAllParty {
                 }
                 let encoded = encode_view(&self.view);
                 ctx.milestone(Milestone::VerificationStart);
-                for (peer, challenge) in self.equality.build_challenges(&encoded, &mut self.prg) {
+                for (peer, challenge) in self.equality.build_challenges(encoded, &mut self.prg) {
                     ctx.send_msg(peer, &SuccinctMsg::Challenge(challenge));
                 }
                 Step::Continue
             }
             2 => {
-                let encoded = encode_view(&self.view);
                 for envelope in incoming {
                     match envelope.decode::<SuccinctMsg>() {
                         Ok(SuccinctMsg::Challenge(challenge)) => {
@@ -308,7 +307,7 @@ impl PartyLogic for SuccinctAllToAllParty {
                                     "challenge from a higher id".into(),
                                 ));
                             }
-                            let response = self.equality.respond(&challenge, &encoded);
+                            let response = self.equality.respond(&challenge);
                             ctx.send_msg(envelope.from, &SuccinctMsg::Response(response));
                         }
                         Ok(_) => {

@@ -174,7 +174,7 @@ impl PartyLogic for CommitteeElectParty {
                         self.params.lambda,
                     );
                     let encoded = encode_committee(&self.view);
-                    for (peer, challenge) in equality.build_challenges(&encoded, &mut self.prg) {
+                    for (peer, challenge) in equality.build_challenges(encoded, &mut self.prg) {
                         ctx.send_msg(peer, &CommitteeMsg::Challenge(challenge));
                     }
                     self.equality = Some(equality);
@@ -184,7 +184,6 @@ impl PartyLogic for CommitteeElectParty {
             // Members respond to challenges from lower-id members.
             2 => {
                 if let Some(equality) = &mut self.equality {
-                    let encoded = encode_committee(&self.view);
                     for envelope in incoming {
                         match envelope.decode::<CommitteeMsg>() {
                             Ok(CommitteeMsg::Challenge(challenge)) => {
@@ -192,7 +191,7 @@ impl PartyLogic for CommitteeElectParty {
                                     equality.mark_failed();
                                     continue;
                                 }
-                                let response = equality.respond(&challenge, &encoded);
+                                let response = equality.respond(&challenge);
                                 ctx.send_msg(envelope.from, &CommitteeMsg::Response(response));
                             }
                             Ok(_) => {

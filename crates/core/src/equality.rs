@@ -7,6 +7,12 @@
 //! `(p, m₁ mod p)`; the responder replies with a single bit. Equal strings
 //! always accept; unequal strings are rejected except with probability
 //! `≤ ℓ / π(2^bits)`, negligible for the parameter choices used here.
+//!
+//! Embedded pairwise in a group of `k` members, the test costs each member
+//! one prime and one fingerprint of its view per pair, `O(k²)` per session.
+//! [`PairwiseEquality`] encodes the view once: it keeps the bytes its
+//! challenges were built over and answers the respond round's challenges
+//! against them.
 
 use mpca_crypto::fingerprint::{EqualityChallenge, EqualityResponse};
 use mpca_crypto::Prg;
@@ -126,16 +132,21 @@ impl PartyLogic for EqualityParty {
 }
 
 /// Book-keeping helper for running `Equality_λ` pairwise inside a group
-/// (committee members in Algorithms 2, 3, 7 and 8).
+/// (committee members in Algorithms 2, 3, 7 and 8, the succinct
+/// all-to-all, and Algorithm 4's committee).
 ///
 /// Within a group, each unordered pair `{i, j}` runs one instance; the lower
 /// id initiates. The helper tracks which responses are still outstanding and
-/// whether any test (as initiator or responder) has failed.
+/// whether any test (as initiator or responder) has failed. It keeps the
+/// encoded view it built its challenges over, so the respond round checks
+/// incoming challenges against those same bytes without encoding the view
+/// again.
 #[derive(Debug)]
 pub struct PairwiseEquality {
     my_id: PartyId,
     peers: Vec<PartyId>,
     lambda: u32,
+    view: Vec<u8>,
     awaiting: usize,
     failed: bool,
 }
@@ -149,6 +160,7 @@ impl PairwiseEquality {
             my_id,
             peers,
             lambda,
+            view: Vec::new(),
             awaiting: 0,
             failed: false,
         }
@@ -172,25 +184,28 @@ impl PairwiseEquality {
             .collect()
     }
 
-    /// Builds the challenges this party must send for its `view` string and
-    /// records how many responses it now awaits.
+    /// Builds the challenges this party must send for its encoded `view`
+    /// and records how many responses it now awaits. The helper keeps
+    /// `view` for [`respond`](Self::respond).
     pub fn build_challenges(
         &mut self,
-        view: &[u8],
+        view: Vec<u8>,
         prg: &mut Prg,
     ) -> Vec<(PartyId, EqualityChallenge)> {
         let targets = self.initiate_targets();
         self.awaiting = targets.len();
+        self.view = view;
         targets
             .into_iter()
-            .map(|peer| (peer, EqualityChallenge::new(prg, self.lambda, view)))
+            .map(|peer| (peer, EqualityChallenge::new(prg, self.lambda, &self.view)))
             .collect()
     }
 
-    /// Processes a received challenge against `view`, returning the response
+    /// Processes a received challenge against the view given to
+    /// [`build_challenges`](Self::build_challenges), returning the response
     /// to send back. A mismatch marks the helper as failed.
-    pub fn respond(&mut self, challenge: &EqualityChallenge, view: &[u8]) -> EqualityResponse {
-        let equal = challenge.matches(view);
+    pub fn respond(&mut self, challenge: &EqualityChallenge) -> EqualityResponse {
+        let equal = challenge.matches(&self.view);
         if !equal {
             self.failed = true;
         }
@@ -272,7 +287,7 @@ mod tests {
 
         let mut prg = Prg::from_seed_bytes(b"pairwise");
         let view = b"committee view".to_vec();
-        let challenges = helper.build_challenges(&view, &mut prg);
+        let challenges = helper.build_challenges(view, &mut prg);
         assert_eq!(challenges.len(), 2);
         assert!(!helper.complete());
 
@@ -284,16 +299,19 @@ mod tests {
 
         // A mismatched challenge from a lower-id peer marks failure.
         let bad_challenge = EqualityChallenge::new(&mut prg, 16, b"different view");
-        let response = helper.respond(&bad_challenge, &view);
+        let response = helper.respond(&bad_challenge);
         assert!(!response.equal);
         assert!(helper.failed());
+        // The kept view is the one the challenges were built over.
+        let good_challenge = EqualityChallenge::new(&mut prg, 16, b"committee view");
+        assert!(helper.respond(&good_challenge).equal);
     }
 
     #[test]
     fn pairwise_helper_detects_failed_response() {
         let mut helper = PairwiseEquality::new(PartyId(0), [PartyId(0), PartyId(1)], 16);
         let mut prg = Prg::from_seed_bytes(b"pairwise2");
-        let _ = helper.build_challenges(b"view", &mut prg);
+        let _ = helper.build_challenges(b"view".to_vec(), &mut prg);
         helper.absorb_response(&EqualityResponse { equal: false });
         assert!(helper.failed());
         assert!(helper.complete());

@@ -201,7 +201,7 @@ impl PartyLogic for LocalCommitteeElectParty {
                         self.params.lambda,
                     );
                     let encoded = encode_committee(&self.committee);
-                    for (peer, challenge) in equality.build_challenges(&encoded, &mut self.prg) {
+                    for (peer, challenge) in equality.build_challenges(encoded, &mut self.prg) {
                         ctx.send_msg(peer, &LocalCommitteeMsg::Challenge(challenge));
                     }
                     self.equality = Some(equality);
@@ -210,7 +210,6 @@ impl PartyLogic for LocalCommitteeElectParty {
             }
             1 => {
                 if let Some(equality) = &mut self.equality {
-                    let encoded = encode_committee(&self.committee);
                     for envelope in incoming {
                         match envelope.decode::<LocalCommitteeMsg>() {
                             Ok(LocalCommitteeMsg::Challenge(challenge)) => {
@@ -218,7 +217,7 @@ impl PartyLogic for LocalCommitteeElectParty {
                                     equality.mark_failed();
                                     continue;
                                 }
-                                let response = equality.respond(&challenge, &encoded);
+                                let response = equality.respond(&challenge);
                                 ctx.send_msg(envelope.from, &LocalCommitteeMsg::Response(response));
                             }
                             Ok(_) => {

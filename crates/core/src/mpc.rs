@@ -389,7 +389,7 @@ impl MpcParty {
             PairwiseEquality::new(self.id, self.committee.iter().copied(), self.params.lambda);
         let encoded = encode_ct_view(&self.ct_view);
         ctx.milestone(Milestone::VerificationStart);
-        for (peer, challenge) in equality.build_challenges(&encoded, &mut self.prg) {
+        for (peer, challenge) in equality.build_challenges(encoded, &mut self.prg) {
             ctx.send_msg(peer, &MpcMsg::CtChallenge(challenge));
         }
         self.equality = Some(equality);
@@ -506,7 +506,19 @@ impl PartyLogic for MpcParty {
                             return self.non_member_abort("keygen message", envelope.from);
                         }
                         match envelope.decode::<MpcMsg>() {
-                            Ok(MpcMsg::Keygen(c)) => self.contributions.push(c),
+                            Ok(MpcMsg::Keygen(c)) => {
+                                // `combine_contributions` needs every
+                                // contribution at the key's shape.
+                                if c.b.len() != self.params.lwe.pk_rows {
+                                    return Step::Abort(AbortReason::Malformed(format!(
+                                        "keygen contribution from {} has {} rows, expected {}",
+                                        envelope.from,
+                                        c.b.len(),
+                                        self.params.lwe.pk_rows
+                                    )));
+                                }
+                                self.contributions.push(c)
+                            }
                             Ok(MpcMsg::Filler(_)) => {}
                             Ok(_) => {
                                 return Step::Abort(AbortReason::Malformed(
@@ -704,7 +716,6 @@ impl PartyLogic for MpcParty {
             }
             Phase::Respond => {
                 if let Some(equality) = &mut self.equality {
-                    let encoded = encode_ct_view(&self.ct_view);
                     for envelope in incoming {
                         match envelope.decode::<MpcMsg>() {
                             Ok(MpcMsg::CtChallenge(challenge)) => {
@@ -714,7 +725,7 @@ impl PartyLogic for MpcParty {
                                     equality.mark_failed();
                                     continue;
                                 }
-                                let response = equality.respond(&challenge, &encoded);
+                                let response = equality.respond(&challenge);
                                 ctx.send_msg(envelope.from, &MpcMsg::CtResponse(response));
                             }
                             Ok(_) => {
@@ -954,7 +965,9 @@ pub(crate) fn committee_parties(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpca_net::{SilentAdversary, SimConfig, Simulator};
+    use mpca_net::{
+        PartyOutcome, Payload, ProxyAdversary, RunResult, SilentAdversary, SimConfig, Simulator,
+    };
 
     fn sum_inputs(n: usize) -> (Vec<Vec<u8>>, Vec<u8>) {
         let values: Vec<u16> = (0..n).map(|i| (i as u16) * 37 + 11).collect();
@@ -1091,6 +1104,78 @@ mod tests {
             high_h * 2 < low_h,
             "h=64 should be much cheaper than h=8: {high_h} vs {low_h} bits"
         );
+    }
+
+    /// [`mpc_parties`] or [`crate::tradeoff::tradeoff_parties`].
+    type PartyBuilder = fn(
+        &ProtocolParams,
+        &Functionality,
+        ExecutionPath,
+        &[Vec<u8>],
+        CommonRandomString,
+        &BTreeSet<PartyId>,
+    ) -> Vec<MpcParty>;
+
+    /// Runs `build` at n = 8, h = 4 with party 0 corrupted: it follows the
+    /// protocol, except that its `Keygen` frame carries a three-element
+    /// `b` instead of `pk_rows` elements.
+    fn run_with_short_keygen_frame(build: PartyBuilder) -> RunResult<Vec<u8>> {
+        let params = ProtocolParams::new(8, 4).with_lwe(mpca_crypto::lwe::LweParams {
+            plaintext_modulus: 1 << 16,
+            ..mpca_crypto::lwe::LweParams::toy()
+        });
+        assert_ne!(params.lwe.pk_rows, 3);
+        let functionality = Functionality::Sum { input_bytes: 2 };
+        let (inputs, _) = sum_inputs(params.n);
+        let crs = CommonRandomString::from_label(b"mpc-short-keygen");
+        let corrupted: BTreeSet<PartyId> = [PartyId(0)].into();
+        let path = ExecutionPath::Concrete;
+        let honest = build(&params, &functionality, path, &inputs, crs, &corrupted);
+        let proxied = build(
+            &params,
+            &functionality,
+            path,
+            &inputs,
+            crs,
+            &BTreeSet::new(),
+        )
+        .into_iter()
+        .filter(|party| corrupted.contains(&party.id));
+        let adversary = ProxyAdversary::new(proxied, params.n, |_, envelope| {
+            let mut envelope = envelope.clone();
+            if let Ok(MpcMsg::Keygen(mut contribution)) = envelope.decode::<MpcMsg>() {
+                contribution.b.truncate(3);
+                envelope.payload = Payload::encode(&MpcMsg::Keygen(contribution));
+            }
+            vec![envelope]
+        });
+        Simulator::new(params.n, honest, Box::new(adversary), SimConfig::default())
+            .unwrap()
+            .run()
+            .unwrap()
+    }
+
+    fn assert_short_keygen_frame_is_malformed(result: &RunResult<Vec<u8>>) {
+        let malformed = result
+            .outcomes
+            .values()
+            .filter(|outcome| {
+                matches!(outcome, PartyOutcome::Aborted(AbortReason::Malformed(text)) if text.contains("keygen"))
+            })
+            .count();
+        assert!(malformed > 0, "no honest member flagged the short frame");
+    }
+
+    #[test]
+    fn short_keygen_contribution_aborts_as_malformed_in_algorithm_3() {
+        assert_short_keygen_frame_is_malformed(&run_with_short_keygen_frame(mpc_parties));
+    }
+
+    #[test]
+    fn short_keygen_contribution_aborts_as_malformed_in_algorithm_8() {
+        assert_short_keygen_frame_is_malformed(&run_with_short_keygen_frame(
+            crate::tradeoff::tradeoff_parties,
+        ));
     }
 
     #[test]

@@ -371,7 +371,7 @@ impl PartyLogic for MultiOutputParty {
                         self.params.lambda,
                     );
                     let encoded = mpca_wire::to_bytes(&self.collected);
-                    for (peer, challenge) in equality.build_challenges(&encoded, &mut self.prg) {
+                    for (peer, challenge) in equality.build_challenges(encoded, &mut self.prg) {
                         ctx.send_msg(peer, &MultiMsg::Challenge(challenge));
                     }
                     self.equality = Some(equality);
@@ -384,7 +384,6 @@ impl PartyLogic for MultiOutputParty {
             }
             4 => {
                 if let Some(equality) = &mut self.equality {
-                    let encoded = mpca_wire::to_bytes(&self.collected);
                     for envelope in incoming {
                         match envelope.decode::<MultiMsg>() {
                             Ok(MultiMsg::Challenge(challenge)) => {
@@ -392,7 +391,7 @@ impl PartyLogic for MultiOutputParty {
                                     equality.mark_failed();
                                     continue;
                                 }
-                                let response = equality.respond(&challenge, &encoded);
+                                let response = equality.respond(&challenge);
                                 ctx.send_msg(envelope.from, &MultiMsg::Response(response));
                             }
                             Ok(_) => {

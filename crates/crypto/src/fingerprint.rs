@@ -7,6 +7,13 @@
 //! unless `p` divides the non-zero integer `m1 - m2`, which happens with
 //! probability at most `log₂(n) / π(2^bits)` — negligible for the parameter
 //! choices used by the protocols.
+//!
+//! Every pairwise check fingerprints a whole view, so [`fingerprint`] is
+//! the inner loop of the test. It evaluates the big-endian integer over
+//! 8-byte limbs in Montgomery form and folds four limbs per step, so each
+//! step puts one Montgomery product on the dependency chain. Modular
+//! arithmetic is exact: the result is the byte-wise Horner value bit for
+//! bit, for every length and modulus.
 
 use mpca_wire::{Decode, Encode, Reader, WireError, Writer};
 
@@ -15,6 +22,18 @@ use crate::primes::{random_prime_with_bits, Montgomery};
 
 /// Computes the fingerprint of `message` modulo `p`, interpreting the bytes
 /// as a big-endian integer (Horner evaluation).
+///
+/// For an odd `p ≤ 2^62` (every prime of Lemma 5) the evaluation runs over
+/// 8-byte limbs in the Montgomery domain and folds four limbs per dependent
+/// step: with `B = 2^64 mod p`,
+///
+/// `acc' = acc·B⁴ + l₀·B³ + l₁·B² + l₂·B + l₃ (mod p)`,
+///
+/// so the chain from one step to the next is a single Montgomery product.
+/// The four limb terms stay off the chain: their products are summed in
+/// 128 bits and reduced once. Modular arithmetic is exact, so the result
+/// equals the byte-wise recurrence bit for bit; other moduli take that
+/// recurrence directly.
 ///
 /// ```
 /// let p = 1_000_000_007u64;
@@ -26,7 +45,7 @@ pub fn fingerprint(message: &[u8], p: u64) -> u64 {
     assert!(p > 1, "modulus must exceed 1");
     if p.is_multiple_of(2) || p > 1 << 62 {
         // Generic byte-wise Horner. Montgomery needs an odd modulus and the
-        // limb recurrence needs ≤62-bit headroom; the random primes of
+        // modular sums below need ≤62-bit headroom; the random primes of
         // Lemma 5 always satisfy both, so this branch only serves direct
         // callers with unusual moduli.
         let p128 = p as u128;
@@ -36,26 +55,31 @@ pub fn fingerprint(message: &[u8], p: u64) -> u64 {
         }
         return acc as u64;
     }
-    // Horner over 8-byte big-endian limbs in the Montgomery domain: one
-    // step costs two multiply-shift reductions and an addition — no u128
-    // division at all. The result is the same big-endian integer mod p as
-    // the byte-wise recurrence (Montgomery form is converted back exactly).
+    // Montgomery forms carry a factor R = 2^64 ≡ B (mod p), and a
+    // reduction divides by R: a raw limb times Rᵏ mod p reduces to the form
+    // of limb·Bᵏ⁻², and the form acc·R times R⁵ to the form of acc·B⁴.
     let mont = Montgomery::new(p);
-    let head_len = message.len() % 8;
-    let (head, body) = message.split_at(head_len);
-    let mut head_acc: u128 = 0;
-    for &byte in head {
-        head_acc = (head_acc * 256 + byte as u128) % p as u128;
+    let r2 = mont.r2;
+    let r3 = mont.mul(r2, r2);
+    let r4 = mont.mul(r3, r2);
+    let r5 = mont.mul(r4, r2);
+    // The leading `len mod 8` bytes are one integer below 2^56.
+    let (head, body) = message.split_at(message.len() % 8);
+    let head = head.iter().fold(0u64, |acc, &byte| acc << 8 | byte as u64);
+    let mut acc_m = mont.mul(head, r2);
+    let limb = |chunk: &[u8]| u64::from_be_bytes(chunk.try_into().expect("8-byte chunk"));
+    // Limbs before the first whole group of four take the one-limb step
+    // acc' = acc·B + l.
+    let (single, groups) = body.split_at(body.len() % 32);
+    for chunk in single.chunks_exact(8) {
+        acc_m = mont.reduce_sum((acc_m as u128 + limb(chunk) as u128) * r2 as u128);
     }
-    // acc_m = acc · R (mod p); the limb step acc' = acc · 2^64 + limb maps
-    // to acc'_m = mont_mul(acc_m, R² mod p) + mont_mul(limb, R² mod p),
-    // because base · R = (2^64 mod p) · R = R² (mod p).
-    let mut acc_m = mont.mul(head_acc as u64, mont.r2);
-    for chunk in body.chunks_exact(8) {
-        let limb = u64::from_be_bytes(chunk.try_into().expect("8-byte chunk"));
-        let shifted = mont.mul(acc_m, mont.r2);
-        let limb_m = mont.mul(limb, mont.r2);
-        acc_m = add_mod(shifted, limb_m, p);
+    for group in groups.chunks_exact(32) {
+        // Each product is below 2^64 · p, so the four sum without overflow
+        // and reduce together.
+        let term = |at: usize, r: u64| limb(&group[at..at + 8]) as u128 * r as u128;
+        let terms = mont.reduce_sum(term(0, r5) + term(8, r4) + term(16, r3) + term(24, r2));
+        acc_m = add_mod(mont.mul(acc_m, r5), terms, p);
     }
     // Leave the Montgomery domain: acc_m · 1 / R = acc.
     mont.mul(acc_m, 1)
@@ -200,9 +224,10 @@ mod tests {
 
     #[test]
     fn limb_horner_matches_bytewise_reference() {
-        // The limb-based evaluation must equal the original byte-wise
-        // recurrence for every length class (head of 0..8 bytes) and across
-        // the small/large modulus branch.
+        // The folded limb evaluation must equal the byte-wise recurrence
+        // for every length up to 300 (every head of 0..8 bytes and every
+        // count of single limbs before the groups of four), for long
+        // messages, and across the small/large modulus branch.
         fn bytewise(message: &[u8], p: u64) -> u64 {
             let mut acc: u64 = 0;
             for &byte in message {
@@ -211,24 +236,40 @@ mod tests {
             acc
         }
         let mut prg = Prg::from_seed_bytes(b"fp-limbs");
-        let primes = [
+        let mut moduli = vec![
             3u64,
             65_537,
             1_000_000_007,
             (1 << 61) - 1,
-            random_prime_with_bits(&mut prg, 62),
+            (1 << 62) - 57,             // odd, at the top of the Montgomery path
             18_446_744_073_709_551_557, // largest 64-bit prime
             // Not prime — the function is defined for any modulus > 1, odd
             // (Montgomery path) or even (generic path).
             255,
             256,
+            1 << 40,
+            (1 << 62) + 1,
             1 << 63,
             u64::MAX,
         ];
-        for len in [0usize, 1, 7, 8, 9, 15, 16, 17, 64, 1000, 4096] {
+        // Random primes across the sizes Lemma 5 draws.
+        moduli.extend(
+            (20..=62)
+                .step_by(3)
+                .map(|bits| random_prime_with_bits(&mut prg, bits)),
+        );
+        let ones = [0xffu8; 300];
+        for len in (0usize..=300).chain([1000, 4096]) {
             let msg = prg.gen_bytes(len);
-            for &p in &primes {
+            for &p in &moduli {
                 assert_eq!(fingerprint(&msg, p), bytewise(&msg, p), "len={len} p={p}");
+                if let Some(ones) = ones.get(..len) {
+                    assert_eq!(
+                        fingerprint(ones, p),
+                        bytewise(ones, p),
+                        "ones len={len} p={p}"
+                    );
+                }
             }
         }
     }

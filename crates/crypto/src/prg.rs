@@ -64,12 +64,23 @@ impl Prg {
     /// Panics if `bound == 0`.
     pub fn gen_range(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "gen_range bound must be positive");
-        // Rejection sampling to avoid modulo bias.
-        let zone = u64::MAX - (u64::MAX % bound);
+        // Rejection sampling to avoid modulo bias: accept below the largest
+        // multiple of `bound` that fits. For a power of two (the prime
+        // sampler's bounds) that zone is 2^64 − bound and the reduction is
+        // a mask, so the same draws are accepted and mapped with no
+        // division.
+        let (zone, mask) = if bound.is_power_of_two() {
+            (bound.wrapping_neg(), Some(bound - 1))
+        } else {
+            (u64::MAX - (u64::MAX % bound), None)
+        };
         loop {
             let v = self.next_u64();
             if v < zone {
-                return v % bound;
+                return match mask {
+                    Some(mask) => v & mask,
+                    None => v % bound,
+                };
             }
         }
     }
@@ -183,6 +194,33 @@ mod tests {
             seen[v] = true;
         }
         assert!(seen.iter().all(|&s| s), "all residues should appear");
+    }
+
+    #[test]
+    fn gen_range_draws_like_the_dividing_reference() {
+        fn reference(prg: &mut Prg, bound: u64) -> u64 {
+            let zone = u64::MAX - (u64::MAX % bound);
+            loop {
+                let v = prg.next_u64();
+                if v < zone {
+                    return v % bound;
+                }
+            }
+        }
+        let mut prg = Prg::from_seed_bytes(b"range-reference");
+        let mut expected = prg.clone();
+        let mut bounds: Vec<u64> = (0..64).map(|k| 1u64 << k).collect();
+        bounds.extend([3, 10, 1000, (1 << 45) + 1, u64::MAX, u64::MAX / 3]);
+        for &bound in &bounds {
+            for _ in 0..50 {
+                assert_eq!(
+                    prg.gen_range(bound),
+                    reference(&mut expected, bound),
+                    "{bound}"
+                );
+            }
+        }
+        assert_eq!(prg.next_u64(), expected.next_u64());
     }
 
     #[test]
