@@ -50,8 +50,12 @@ impl<B: ExecutionBackend> SessionTask<B> {
             job: Box::new(move |backend: &B, tracing: bool, keep_logs: bool| {
                 let start = Instant::now();
                 let mut sim = build()?;
-                if tracing {
-                    sim.record_trace();
+                // A session that keeps its stream records it; any other
+                // traced session folds only its summary.
+                match (tracing, keep_logs) {
+                    (true, true) => sim.record_trace(),
+                    (true, false) => sim.record_trace_summary(),
+                    (false, _) => {}
                 }
                 let result = backend.execute(sim)?;
                 Ok(SessionReport::from_result_retaining(
@@ -65,7 +69,9 @@ impl<B: ExecutionBackend> SessionTask<B> {
     }
 
     /// Enables execution tracing for this task (the report carries a
-    /// [`TraceSummary`](mpca_trace::TraceSummary) digest).
+    /// [`TraceSummary`](mpca_trace::TraceSummary) digest, folded while the
+    /// session records; no event is stored unless
+    /// [`with_trace_logs`](Self::with_trace_logs) asks for the stream).
     pub fn with_tracing(mut self, tracing: bool) -> Self {
         self.tracing = tracing;
         self

@@ -132,7 +132,7 @@ impl SessionReport {
             rounds: result.rounds,
             peak_inbox_bytes: result.peak_inbox_bytes,
             peak_inbox_envelopes: result.peak_inbox_envelopes,
-            trace: result.trace.as_ref().map(TraceSummary::of),
+            trace: result.trace_summary.clone(),
             trace_log: None,
             phase_bytes: result.phase_bytes,
             wall,
@@ -142,14 +142,16 @@ impl SessionReport {
 
     /// Digests a typed [`RunResult`], optionally retaining the full trace
     /// log (see [`SessionReport::trace_log`]) alongside its summary. The
-    /// log is moved out of `result`, not copied.
+    /// summary and the log are moved out of `result`, not copied.
     pub fn from_result_retaining<O: Debug>(
         label: impl Into<String>,
         mut result: RunResult<O>,
         wall: Duration,
         keep_log: bool,
     ) -> Self {
+        let trace = result.trace_summary.take();
         let mut report = Self::from_result(label, &result, wall);
+        report.trace = trace;
         if keep_log {
             report.trace_log = result.trace.take().map(|mut log| {
                 log.shrink_to_fit();
@@ -522,6 +524,7 @@ mod tests {
             peak_inbox_bytes: 0,
             peak_inbox_envelopes: 0,
             trace: None,
+            trace_summary: None,
             phase_bytes: PhaseBytes::new(),
         };
         let report = SessionReport::from_result("r", &result, Duration::ZERO);

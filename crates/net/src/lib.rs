@@ -63,4 +63,4 @@ pub use simulator::{
     SimConfig, Simulator,
 };
 pub use stats::CommStats;
-pub use trace::{TraceEvent, TraceLog};
+pub use trace::{TraceEvent, TraceLog, TraceSummary};

@@ -12,7 +12,7 @@ use crate::party::{
     AbortReason, Milestone, MilestoneEvent, PartyCtx, PartyId, PartyLogic, SendOp, Step,
 };
 use crate::stats::CommStats;
-use crate::trace::{TraceEvent, TraceLog};
+use crate::trace::{TraceLog, TraceRecorder, TraceSummary};
 
 /// Simulator configuration.
 #[derive(Debug, Clone, Copy)]
@@ -78,10 +78,15 @@ pub struct RunResult<O> {
     /// Largest number of envelopes queued for delivery at any single round
     /// boundary.
     pub peak_inbox_envelopes: u64,
-    /// The recorded execution trace, when tracing was enabled via
-    /// [`Simulator::record_trace`] (`None` otherwise). Deterministic across
+    /// The recorded event stream, when the execution retained it
+    /// ([`Simulator::record_trace`]; `None` otherwise). Deterministic across
     /// round drivers, like everything else in the result.
     pub trace: Option<TraceLog>,
+    /// The trace summary folded while recording, whenever tracing was
+    /// enabled ([`Simulator::record_trace`] or
+    /// [`Simulator::record_trace_summary`]; `None` otherwise). Equal to
+    /// [`TraceSummary::of`] the retained stream.
+    pub trace_summary: Option<TraceSummary>,
     /// Every charged byte attributed to the protocol phase the execution
     /// was in when it was sent (the milestone-driven phase clock). A pure
     /// function of the event stream — deterministic across round drivers
@@ -275,7 +280,7 @@ pub struct Simulator<L: PartyLogic> {
     staging: Vec<Vec<Envelope>>,
     peak_inbox_bytes: u64,
     peak_inbox_envelopes: u64,
-    trace: Option<TraceLog>,
+    trace: Option<TraceRecorder>,
     /// The milestone-driven phase clock (monotone; starts at `Setup`).
     phase: PhaseClock,
     /// Bytes charged per phase (see [`RunResult::phase_bytes`]).
@@ -360,25 +365,35 @@ impl<L: PartyLogic> Simulator<L> {
         })
     }
 
-    /// Enables execution tracing: every charged send, adversarial injection
-    /// and [`Milestone`] is appended to a [`TraceLog`] returned inside
-    /// [`RunResult::trace`]. Recording a send stores a shared
+    /// Enables execution tracing and retains the event stream: every
+    /// charged send, adversarial injection and [`Milestone`] is appended to
+    /// a [`TraceLog`] returned inside [`RunResult::trace`], and folded into
+    /// the [`RunResult::trace_summary`]. Recording a send stores a shared
     /// [`Payload`](crate::Payload) window (O(1)), never a copy, and the
-    /// event order follows the
-    /// deterministic round merge — traces are byte-identical across round
-    /// drivers and backends.
+    /// event order follows the deterministic round merge — traces are
+    /// byte-identical across round drivers and backends.
     ///
     /// Must be called before the first round is stepped (events of already
     /// executed rounds are not reconstructed).
     pub fn record_trace(&mut self) {
-        if self.trace.is_none() {
-            let mut log = TraceLog::new();
-            // The log carries the charging rule, so trace consumers (the
-            // phase ledger) replay byte attribution without out-of-band
-            // configuration.
-            log.set_charges_adversary_bytes(self.config.count_adversary_bytes);
-            self.trace = Some(log);
-        }
+        self.recorder().keep_stream();
+    }
+
+    /// Enables execution tracing without retaining the stream: each event
+    /// is folded into the [`RunResult::trace_summary`] as it is recorded,
+    /// and none is stored, so payloads are freed once delivered. The
+    /// summary equals the one [`record_trace`](Self::record_trace) gives.
+    ///
+    /// Must be called before the first round is stepped.
+    pub fn record_trace_summary(&mut self) {
+        self.recorder();
+    }
+
+    /// The session's trace recorder, created on first use.
+    fn recorder(&mut self) -> &mut TraceRecorder {
+        let charges = self.config.count_adversary_bytes;
+        self.trace
+            .get_or_insert_with(|| TraceRecorder::new(charges))
     }
 
     /// Convenience constructor for all-honest executions.
@@ -493,13 +508,21 @@ impl<L: PartyLogic> Simulator<L> {
                 }
                 registry.counter("net.sessions").inc();
             }
+            let (trace_summary, trace) = match self.trace.take() {
+                Some(recorder) => {
+                    let (summary, stream) = recorder.finish();
+                    (Some(summary), stream)
+                }
+                None => (None, None),
+            };
             Ok(RunResult {
                 outcomes: self.outcomes,
                 stats: self.stats,
                 rounds: self.round,
                 peak_inbox_bytes: self.peak_inbox_bytes,
                 peak_inbox_envelopes: self.peak_inbox_envelopes,
-                trace: self.trace,
+                trace,
+                trace_summary,
                 phase_bytes: self.phase_bytes,
             })
         } else {
@@ -591,13 +614,7 @@ impl<L: PartyLogic> Simulator<L> {
                         self.stats.record_send(envelope.from, envelope.to, len);
                         self.phase_bytes.charge(send_phase, len as u64);
                         if let Some(trace) = &mut self.trace {
-                            trace.push(TraceEvent::Send {
-                                round,
-                                from: envelope.from,
-                                to: envelope.to,
-                                payload: envelope.payload.clone(),
-                                injected: false,
-                            });
+                            trace.send(round, envelope.from, envelope.to, &envelope.payload, false);
                         }
                         self.staging[envelope.to.index()].push(envelope);
                     }
@@ -618,13 +635,7 @@ impl<L: PartyLogic> Simulator<L> {
                             .charge(send_phase, len as u64 * recipients.len() as u64);
                         if let Some(trace) = &mut self.trace {
                             for &to in &recipients {
-                                trace.push(TraceEvent::Send {
-                                    round,
-                                    from,
-                                    to,
-                                    payload: payload.clone(),
-                                    injected: false,
-                                });
+                                trace.send(round, from, to, &payload, false);
                             }
                         }
                         for to in recipients {
@@ -675,7 +686,7 @@ impl<L: PartyLogic> Simulator<L> {
         }
         if let Some(trace) = &mut self.trace {
             for event in &round_milestones {
-                trace.push(TraceEvent::Milestone(event.clone()));
+                trace.milestone(event);
             }
         }
         // Advance the phase clock on this round's milestones (monotone max,
@@ -721,13 +732,7 @@ impl<L: PartyLogic> Simulator<L> {
                 // Injected sends are tagged distinctly, so the flooding
                 // rule's exclusion of junk from bytes and locality is
                 // recomputable from the trace alone.
-                trace.push(TraceEvent::Send {
-                    round,
-                    from: envelope.from,
-                    to: envelope.to,
-                    payload: envelope.payload.clone(),
-                    injected: true,
-                });
+                trace.send(round, envelope.from, envelope.to, &envelope.payload, true);
             }
             self.staging[envelope.to.index()].push(envelope);
         }

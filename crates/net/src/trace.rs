@@ -1,29 +1,42 @@
-//! The raw per-session execution trace: a zero-copy structured event
-//! stream recorded by the simulator.
+//! The per-session execution trace: a structured event stream recorded
+//! by the simulator, and the summary folded from it.
 //!
-//! When tracing is enabled ([`Simulator::record_trace`](crate::Simulator::record_trace)),
-//! the simulator appends one [`TraceEvent`] per charged send, per
-//! adversarial injection and per [`Milestone`] — in the
-//! same deterministic order it merges rounds, so a trace is byte-identical
-//! across round drivers and execution backends, exactly like the outcomes
-//! and statistics it narrates.
+//! When tracing is enabled, the simulator hands one [`TraceEvent`] per
+//! charged send, per adversarial injection and per [`Milestone`] to a
+//! recorder, in the same deterministic order it merges rounds, so a trace
+//! is byte-identical across round drivers and execution backends, exactly
+//! like the outcomes and statistics it narrates.
 //!
-//! Events hold [`Payload`] windows, not copies: recording a send is an O(1)
-//! reference-count bump, which is what keeps trace overhead low enough to
-//! leave on for whole campaign sweeps (the `E17-trace` experiment measures
-//! it).
+//! The recorder folds each event into the session's [`TraceSummary`] as it
+//! arrives: the canonical digest, the counters, the abort map and the
+//! [`PhaseLedger`]. It appends the event to a [`TraceLog`] only when the
+//! session retains its stream
+//! ([`Simulator::record_trace`](crate::Simulator::record_trace)); a
+//! digest-only session
+//! ([`Simulator::record_trace_summary`](crate::Simulator::record_trace_summary))
+//! stores no event, so its payloads are freed once delivered. The fold
+//! memoises payload buffers per shared window, and keys each by its
+//! address and length, so it answers only for buffers sent in the current
+//! round: the simulator still stages those, while an earlier round's
+//! buffer may be freed and its address handed to other bytes.
+//! [`digest_hex`], [`TraceSummary::of`] and [`PhaseLedger::of`] replay a
+//! retained log through the same recorder.
 //!
-//! This module is deliberately minimal — the raw stream plus the accessors
-//! other layers rebuild statistics from. Consumers read a finished
-//! [`TraceLog`]; frame tagging, digests and the record/replay file format
-//! live in the `mpca-trace` crate, which sits above the protocol catalog
-//! and therefore knows the per-protocol frame schemas, and the
-//! `mpca-predicate` rules scan its tagged view.
+//! Retained events hold [`Payload`] windows, not copies: recording a send
+//! is an O(1) reference-count bump. Frame tagging and the record/replay
+//! file format live in the `mpca-trace` crate, which sits above the
+//! protocol catalog and therefore knows the per-protocol frame schemas,
+//! and the `mpca-predicate` rules scan its tagged view of a retained log.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::party::{AbortReason, Milestone, MilestoneEvent, MilestoneKind, PartyId};
 use crate::payload::Payload;
+
+mod summary;
+
+pub(crate) use summary::TraceRecorder;
+pub use summary::{digest_hex, PhaseLedger, TraceSummary};
 
 /// One recorded execution event.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -26,10 +26,12 @@
 //! PATH` additionally exports the sampled slowest sessions as Chrome
 //! trace-event JSON for Perfetto.
 //!
-//! Every run is **traced**: sessions record their full event stream, the
-//! oracle's identified-abort predicate runs behaviourally against the
-//! trace, and `--record <path>` writes the per-scenario trace digests to a
-//! replayable file. `--replay <path>` rebuilds the recorded campaign from
+//! Every run is **traced**: sessions fold their event stream into a trace
+//! summary as they record it, the oracle's identified-abort predicate runs
+//! behaviourally against the trace, and `--record <path>` writes the
+//! per-scenario trace digests to a replayable file. Runs without
+//! `--sweep` also retain every stream for the predicate oracle; `--sweep`
+//! runs keep only the summaries. `--replay <path>` rebuilds the recorded campaign from
 //! the file's `(campaign, seed)` identity, re-executes it (on any backend —
 //! digests are backend-independent) and fails on any digest mismatch.
 //!
@@ -110,8 +112,8 @@ fn run_campaign(
     let result = match (backend, progress) {
         ("sequential", false) => campaign.run_traced(Sequential, workers),
         ("parallel", false) => campaign.run_traced(Parallel::default(), workers),
-        // Progress-narrated sweeps skip full-stream retention: hundreds of
-        // sessions' logs would dominate memory for no verdict change (the
+        // Progress-narrated sweeps skip full-stream retention: each session
+        // folds its summary while recording and stores no event (the
         // trace-predicate property trivially holds without a stream).
         ("sequential", true) => {
             campaign.run_configured(Sequential, workers, true, false, narrate(total))

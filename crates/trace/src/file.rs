@@ -8,7 +8,7 @@
 
 use mpca_metrics::json::{escape, Json};
 
-use crate::summary::TraceSummary;
+use crate::TraceSummary;
 
 /// One recorded session: its label and trace digest.
 #[derive(Debug, Clone, PartialEq, Eq)]

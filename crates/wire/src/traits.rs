@@ -1,4 +1,10 @@
 //! The [`Encode`] / [`Decode`] traits and implementations for common types.
+//!
+//! Sequences (`Vec<T>`, `[T]`) write a varint length and then their
+//! elements through [`Encode::encode_slice`] and [`Decode::decode_vec`].
+//! Those default to one call per element; `u8` overrides both, so a byte
+//! vector moves through the codec as one copy. The bytes on the wire, and
+//! the error a truncated input gives, are the element loop's.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -18,6 +24,21 @@ pub trait Encode {
         self.encode(&mut w);
         w.len()
     }
+
+    /// Appends the encodings of `items`, in order: the body of a sequence,
+    /// after its length prefix.
+    ///
+    /// The default encodes one element at a time. `u8` overrides it with
+    /// one bulk copy, so byte vectors and slices cost one call, not one
+    /// per byte; the bytes written are the same.
+    fn encode_slice(items: &[Self], w: &mut Writer)
+    where
+        Self: Sized,
+    {
+        for item in items {
+            item.encode(w);
+        }
+    }
 }
 
 /// A value that can be read back from the wire.
@@ -28,6 +49,25 @@ pub trait Decode: Sized {
     ///
     /// Returns a [`WireError`] when the input is truncated or malformed.
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError>;
+
+    /// Decodes `len` consecutive elements: the body of a sequence whose
+    /// length prefix declared `len`.
+    ///
+    /// The default decodes one element at a time and preallocates at most
+    /// 1024 elements, so a declared length the input cannot back allocates
+    /// little. `u8` overrides it with one bounds check and one copy, and
+    /// fails exactly as the loop does.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first element's [`WireError`].
+    fn decode_vec(r: &mut Reader<'_>, len: usize) -> Result<Vec<Self>, WireError> {
+        let mut out = Vec::with_capacity(len.min(1024));
+        for _ in 0..len {
+            out.push(Self::decode(r)?);
+        }
+        Ok(out)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -52,11 +92,40 @@ macro_rules! impl_fixed_int {
     };
 }
 
-impl_fixed_int!(u8, put_u8, get_u8, 1);
 impl_fixed_int!(u16, put_u16, get_u16, 2);
 impl_fixed_int!(u32, put_u32, get_u32, 4);
 impl_fixed_int!(u64, put_u64, get_u64, 8);
 impl_fixed_int!(u128, put_u128, get_u128, 16);
+
+impl Encode for u8 {
+    fn encode(&self, w: &mut Writer) {
+        w.put_u8(*self);
+    }
+    fn encoded_len(&self) -> usize {
+        1
+    }
+    fn encode_slice(items: &[u8], w: &mut Writer) {
+        w.put_bytes(items);
+    }
+}
+
+impl Decode for u8 {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        r.get_u8()
+    }
+    fn decode_vec(r: &mut Reader<'_>, len: usize) -> Result<Vec<u8>, WireError> {
+        if r.remaining() < len {
+            // The element loop would read every remaining byte, then fail
+            // on the next one: leave the reader and the error as it would.
+            r.get_bytes(r.remaining())?;
+            return Err(WireError::UnexpectedEof {
+                needed: 1,
+                remaining: 0,
+            });
+        }
+        Ok(r.get_bytes(len)?.to_vec())
+    }
+}
 
 impl Encode for usize {
     fn encode(&self, w: &mut Writer) {
@@ -140,35 +209,25 @@ impl<const N: usize> Decode for [u8; N] {
 
 impl<T: Encode> Encode for Vec<T> {
     fn encode(&self, w: &mut Writer) {
-        w.put_uvarint(self.len() as u64);
-        for item in self {
-            item.encode(w);
-        }
+        self.as_slice().encode(w);
     }
 }
 
 impl<T: Decode> Decode for Vec<T> {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let len = r.get_uvarint()?;
-        if len > crate::reader::MAX_FIELD_LEN {
-            return Err(WireError::LengthOverflow { declared: len });
+        let declared = r.get_uvarint()?;
+        let overflow = WireError::LengthOverflow { declared };
+        if declared > crate::reader::MAX_FIELD_LEN {
+            return Err(overflow);
         }
-        // Don't trust the declared length for preallocation beyond a small cap:
-        // a malicious one-byte message could otherwise allocate gigabytes.
-        let mut out = Vec::with_capacity(usize::try_from(len.min(1024)).unwrap_or(0));
-        for _ in 0..len {
-            out.push(T::decode(r)?);
-        }
-        Ok(out)
+        T::decode_vec(r, usize::try_from(declared).map_err(|_| overflow)?)
     }
 }
 
 impl<T: Encode> Encode for [T] {
     fn encode(&self, w: &mut Writer) {
         w.put_uvarint(self.len() as u64);
-        for item in self {
-            item.encode(w);
-        }
+        T::encode_slice(self, w);
     }
 }
 

@@ -6,8 +6,9 @@
 //! meaningful first-violation event span. The memoised tagging
 //! (`TaggedTrace::new`, which tags each shared payload buffer once) must
 //! agree entry for entry with the un-memoised reference
-//! (`TaggedEntry::of_event`, which tags event by event), and the phase
-//! ceiling must sit exactly at the simulator's largest per-phase byte count.
+//! (`TaggedEntry::of_event`, which tags event by event), the phase
+//! ceiling must sit exactly at the simulator's largest per-phase byte
+//! count, and a digest-only run's summary must equal the retained run's.
 
 use proptest::prelude::*;
 
@@ -18,7 +19,7 @@ use mpc_aborts::protocols::{FrameSchema, ProtocolKind};
 use mpc_aborts::scenario::{
     registry, AdversarySpec, CorruptionSpec, Expectation, Scenario, TriggerSpec,
 };
-use mpc_aborts::trace::{TaggedEntry, TaggedTrace};
+use mpc_aborts::trace::{TaggedEntry, TaggedTrace, TraceSummary};
 
 /// Builds one concrete scenario at the family's smallest sweep grid point.
 fn scenario(kind: ProtocolKind, adversary: AdversarySpec, charge: bool, seed: u64) -> Scenario {
@@ -37,10 +38,20 @@ fn scenario(kind: ProtocolKind, adversary: AdversarySpec, charge: bool, seed: u6
 
 /// Runs one scenario as a traced, stream-retaining single-session pool.
 fn run_traced<B: ExecutionBackend>(scenario: &Scenario, backend: B) -> SessionReport {
+    run_recorded(scenario, backend, true)
+}
+
+/// Runs one scenario as a traced single-session pool, retaining the event
+/// stream when `retain` (otherwise only the summary is folded).
+fn run_recorded<B: ExecutionBackend>(
+    scenario: &Scenario,
+    backend: B,
+    retain: bool,
+) -> SessionReport {
     let mut pool = SessionPool::new(backend)
         .with_workers(1)
         .with_tracing(true)
-        .with_trace_logs(true);
+        .with_trace_logs(retain);
     registry::submit_scenario(&mut pool, scenario);
     let mut batch = pool.run().expect("scenario executes");
     batch.sessions.remove(0)
@@ -141,7 +152,9 @@ proptest! {
     /// On every family, under honest runs, shared-buffer floods,
     /// equivocation and frame tampers, on both backends: memoised and
     /// per-event tagging agree, and the phase ceiling sits exactly at the
-    /// simulator's largest phase.
+    /// simulator's largest phase. The summary a digest-only run folds
+    /// while recording equals the retained run's and the replay of its
+    /// stream.
     #[test]
     fn tagging_and_phase_ceilings_agree_with_their_references_for_all_families(
         seed in any::<u64>(),
@@ -149,9 +162,17 @@ proptest! {
         for kind in ProtocolKind::ALL {
             for (adversary, charge) in cross_path_adversaries(kind) {
                 let scenario = scenario(kind, adversary, charge, seed);
-                for (backend, report) in [
-                    ("sequential", run_traced(&scenario, Sequential)),
-                    ("parallel", run_traced(&scenario, Parallel::default())),
+                for (backend, report, digest_only) in [
+                    (
+                        "sequential",
+                        run_traced(&scenario, Sequential),
+                        run_recorded(&scenario, Sequential, false),
+                    ),
+                    (
+                        "parallel",
+                        run_traced(&scenario, Parallel::default()),
+                        run_recorded(&scenario, Parallel::default(), false),
+                    ),
                 ] {
                     let log = report.trace_log.as_ref().expect("stream retained");
                     let what = format!(
@@ -159,6 +180,10 @@ proptest! {
                         kind.name(),
                         scenario.adversary.name()
                     );
+                    assert!(digest_only.trace_log.is_none(), "{what}");
+                    let streamed = digest_only.trace.as_ref().expect("traced session");
+                    assert_eq!(report.trace.as_ref(), Some(streamed), "{what}");
+                    assert_eq!(&TraceSummary::of(log), streamed, "{what}");
                     let trace = TaggedTrace::new(log, kind);
                     assert_tagging_agrees(&trace, log, &what);
                     assert_phase_ceiling_is_tight(&trace, &report, &what);

@@ -38,10 +38,21 @@ fn tiny_sweep_records_and_replays_byte_identically_across_backends() {
     let parallel = campaign
         .run_traced(Parallel::with_threads(2), 3)
         .expect("parallel traced sweep");
+    // Digest-only: the summaries are folded while recording and no stream
+    // is retained, so payloads are freed (and their addresses reused)
+    // mid-session.
+    let digest_only = campaign
+        .run_configured(Parallel::with_threads(2), 3, true, false, |_| {})
+        .expect("parallel digest-only sweep");
     assert!(sequential.all_as_expected(), "{}", sequential.render());
+    assert!(digest_only
+        .outcomes
+        .iter()
+        .all(|o| o.report.trace_log.is_none()));
 
     // Every session carries a trace summary, and the summaries (digests
-    // over the full event stream) are identical across backends.
+    // over the full event stream) are identical across backends and
+    // recording modes.
     let recorded = TraceFile::new("sweep-tiny", 0, "sequential", sequential.trace_summaries());
     assert_eq!(recorded.sessions.len(), sequential.len());
     assert!(recorded.sessions.iter().all(|r| r.digest.len() == 64));
@@ -49,6 +60,11 @@ fn tiny_sweep_records_and_replays_byte_identically_across_backends() {
     assert!(
         mismatches.is_empty(),
         "parallel replay must reproduce every digest: {mismatches:?}"
+    );
+    assert_eq!(
+        digest_only.trace_summaries(),
+        sequential.trace_summaries(),
+        "digest-only summaries must equal the retained streams' summaries"
     );
 
     // The rendered file is pinned. Unlike the honest hot-path digests,
@@ -64,6 +80,13 @@ fn tiny_sweep_records_and_replays_byte_identically_across_backends() {
             rendered, golden,
             "the tiny sweep's trace digests diverged from the golden recording; \
              regenerate with MPCA_BLESS=1 only for an intentional protocol change"
+        );
+        let golden = TraceFile::parse(&golden).expect("golden fixture parses");
+        let digest_only =
+            TraceFile::new("sweep-tiny", 0, "parallel", digest_only.trace_summaries());
+        assert_eq!(
+            digest_only.sessions, golden.sessions,
+            "the digest-only recording diverged from the golden recording"
         );
     }
 
