@@ -1078,7 +1078,7 @@ pub fn exp_metrics() -> Table {
         .with_grid([(8, 8)])
         .with_seed(5);
         for scenario in plan.scenarios() {
-            mpca_scenario::registry::submit_scenario(&mut pool, &scenario);
+            pool.submit_task(mpca_scenario::registry::scenario_task(&scenario));
         }
     }
     let batch = pool.run().expect("decomposition sessions run");
@@ -1197,7 +1197,7 @@ pub fn exp_asymptotics() -> Table {
         .with_seed(7);
         let scenario = plan.scenarios().remove(0);
         let mut pool = SessionPool::new(Sequential).with_workers(1);
-        mpca_scenario::registry::submit_scenario(&mut pool, &scenario);
+        pool.submit_task(mpca_scenario::registry::scenario_task(&scenario));
         let start = std::time::Instant::now();
         let batch = pool.run().expect("asymptotic-regime session runs");
         let wall_ms = start.elapsed().as_secs_f64() * 1000.0;

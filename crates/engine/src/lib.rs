@@ -14,7 +14,15 @@
 //!   independent protocol sessions (mixed protocols, mixed `(n, h)`
 //!   parameters) across a bounded worker pool, with per-session
 //!   [`SessionReport`]s and batch throughput
-//!   telemetry ([`BatchReport`]).
+//!   telemetry ([`BatchReport`]). A pool is configured with a worker count
+//!   and an optional progress observer, nothing else.
+//! * [`SessionTask`] — one schedulable session. Tracing and stream
+//!   retention are set on the task
+//!   ([`SessionTask::with_tracing`], [`SessionTask::with_trace_logs`]), so
+//!   one batch can mix them; [`SessionPool::submit`] submits an untraced
+//!   task. [`SessionReport::from_result`] is the one way a run becomes a
+//!   report, and [`nearest_rank`] is the quantile that batch, campaign and
+//!   soak latencies are all read with.
 //!
 //! ## Determinism guarantee
 //!
@@ -65,4 +73,4 @@ pub mod report;
 
 pub use backend::{ExecutionBackend, Parallel, Sequential};
 pub use pool::{SessionPool, SessionProgress, SessionTask};
-pub use report::{BatchReport, OutcomeDigest, SessionReport};
+pub use report::{nearest_rank, BatchReport, OutcomeDigest, SessionReport};

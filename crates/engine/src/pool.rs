@@ -17,12 +17,13 @@ type SessionJob<B> = Box<dyn FnOnce(&B, bool, bool) -> Result<SessionReport, Net
 /// One schedulable session, erased to a label plus a deferred
 /// build-and-execute closure over an [`ExecutionBackend`].
 ///
-/// [`SessionPool::submit`] constructs these internally, but they are also
-/// first-class: any driver with its own scheduling policy (the `mpca-obs`
-/// soak harness runs an open-loop arrival schedule with a bounded admission
-/// queue) can build tasks, flip tracing per task, and [`run`](Self::run)
-/// them on its own workers — producing the same [`SessionReport`]s a pool
-/// batch would.
+/// A task carries its own tracing and retention settings, so one batch can
+/// mix untraced, digest-only and stream-retaining sessions.
+/// [`SessionPool::submit_task`] schedules it; any driver with its own
+/// scheduling policy (the `mpca-obs` soak harness runs an open-loop arrival
+/// schedule with a bounded admission queue) can instead [`run`](Self::run)
+/// it on its own workers — producing the same [`SessionReport`] a pool batch
+/// would.
 pub struct SessionTask<B: ExecutionBackend> {
     label: String,
     tracing: bool,
@@ -58,11 +59,10 @@ impl<B: ExecutionBackend> SessionTask<B> {
                     (false, _) => {}
                 }
                 let result = backend.execute(sim)?;
-                Ok(SessionReport::from_result_retaining(
+                Ok(SessionReport::from_result(
                     job_label,
                     result,
                     start.elapsed(),
-                    keep_logs,
                 ))
             }),
         }
@@ -129,8 +129,6 @@ pub struct SessionPool<B: ExecutionBackend> {
     workers: usize,
     sessions: Vec<SessionTask<B>>,
     progress: Option<ProgressFn>,
-    tracing: bool,
-    keep_logs: bool,
 }
 
 impl<B: ExecutionBackend> SessionPool<B> {
@@ -143,36 +141,12 @@ impl<B: ExecutionBackend> SessionPool<B> {
                 .unwrap_or(4),
             sessions: Vec::new(),
             progress: None,
-            tracing: false,
-            keep_logs: false,
         }
     }
 
     /// Bounds the pool to `workers` concurrent sessions (at least 1).
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
-        self
-    }
-
-    /// Enables execution tracing for sessions submitted **after** this call
-    /// (builder style: configure the pool, then submit): each session's
-    /// simulator records its event stream and the resulting
-    /// [`SessionReport::trace`] carries the canonical digest, counters and
-    /// trace-derived abort reasons — inside the cross-backend equality
-    /// contract.
-    pub fn with_tracing(mut self, tracing: bool) -> Self {
-        self.tracing = tracing;
-        self
-    }
-
-    /// Additionally retains each traced session's **full event stream** as
-    /// [`SessionReport::trace_log`] (builder style, affects sessions
-    /// submitted after this call; implies nothing unless tracing is also
-    /// enabled). Predicate-backed oracle verdicts and the adversary-search
-    /// loop need the stream itself, not just its digest; everything else
-    /// should leave this off and keep sweeps cheap.
-    pub fn with_trace_logs(mut self, keep: bool) -> Self {
-        self.keep_logs = keep;
         self
     }
 
@@ -211,7 +185,7 @@ impl<B: ExecutionBackend> SessionPool<B> {
         self.sessions.is_empty()
     }
 
-    /// Submits a session.
+    /// Submits an untraced session.
     ///
     /// `build` constructs the session's simulator; it runs on a worker
     /// thread, so construction cost (keygen, input encryption, …) is part of
@@ -223,29 +197,14 @@ impl<B: ExecutionBackend> SessionPool<B> {
         L::Output: Debug + Send,
         F: FnOnce() -> Result<Simulator<L>, NetError> + Send + 'static,
     {
-        let task = SessionTask::new(label, build)
-            .with_tracing(self.tracing)
-            .with_trace_logs(self.keep_logs);
-        self.submit_task(task);
+        self.submit_task(SessionTask::new(label, build));
     }
 
-    /// Submits a pre-built [`SessionTask`] as-is — the task's own
-    /// tracing/retention configuration wins over the pool's (use
-    /// [`SessionPool::tracing`] / [`SessionPool::trace_logs`] to mirror the
-    /// pool's settings onto a task first).
+    /// Submits a [`SessionTask`]; its tracing and retention settings
+    /// ([`SessionTask::with_tracing`], [`SessionTask::with_trace_logs`])
+    /// decide what its report carries.
     pub fn submit_task(&mut self, task: SessionTask<B>) {
         self.sessions.push(task);
-    }
-
-    /// Whether sessions submitted now would record a trace.
-    pub fn tracing(&self) -> bool {
-        self.tracing
-    }
-
-    /// Whether traced sessions submitted now would retain their full event
-    /// stream.
-    pub fn trace_logs(&self) -> bool {
-        self.keep_logs
     }
 
     /// Runs every submitted session and aggregates the batch.
@@ -275,17 +234,14 @@ impl<B: ExecutionBackend> SessionPool<B> {
         let start = Instant::now();
         let alloc_before = PayloadAllocStats::snapshot();
         // Sustained-load latency telemetry: per-session wall and queue-wait
-        // histograms, plus per-phase wall counter deltas over this run.
-        // One relaxed load when the metrics plane is off.
-        let metrics = mpca_metrics::enabled();
-        let telemetry = metrics.then(|| {
+        // histograms. One relaxed load when the metrics plane is off.
+        let telemetry = mpca_metrics::enabled().then(|| {
             let registry = mpca_metrics::Registry::global();
             (
                 registry.histogram("engine.session.wall_us"),
                 registry.histogram("engine.session.queue_us"),
             )
         });
-        let phase_wall_before = metrics.then(phase_wall_counters_snapshot);
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(|| loop {
@@ -325,13 +281,6 @@ impl<B: ExecutionBackend> SessionPool<B> {
         });
         let wall = start.elapsed();
         let allocated = PayloadAllocStats::snapshot().since(alloc_before);
-        let mut phase_wall_us = [0u64; mpca_metrics::Phase::COUNT];
-        if let Some(before) = phase_wall_before {
-            let after = phase_wall_counters_snapshot();
-            for (i, (b, a)) in before.iter().zip(after.iter()).enumerate() {
-                phase_wall_us[i] = a.saturating_sub(*b);
-            }
-        }
 
         let mut sessions = Vec::with_capacity(total);
         for slot in slots {
@@ -347,24 +296,8 @@ impl<B: ExecutionBackend> SessionPool<B> {
             workers,
             self.backend.name(),
             allocated.bytes,
-            phase_wall_us,
         ))
     }
-}
-
-/// Current values of the simulator's per-phase wall counters, in phase
-/// order — subtracted across `run()` to attribute a batch's in-round wall
-/// time to phases. Process-wide counters, so concurrent batches smear into
-/// each other (telemetry only, like the payload allocation delta).
-fn phase_wall_counters_snapshot() -> [u64; mpca_metrics::Phase::COUNT] {
-    let registry = mpca_metrics::Registry::global();
-    let mut out = [0u64; mpca_metrics::Phase::COUNT];
-    for (i, phase) in mpca_metrics::Phase::ALL.into_iter().enumerate() {
-        out[i] = registry
-            .counter(&format!("net.phase.wall_us.{phase}"))
-            .get();
-    }
-    out
 }
 
 #[cfg(test)]
@@ -495,23 +428,19 @@ mod tests {
 
     #[test]
     fn traced_pools_digest_identically_across_backends() {
+        fn traced<B: ExecutionBackend>(mut pool: SessionPool<B>) -> BatchReport {
+            for (i, n) in [4usize, 6, 5].into_iter().enumerate() {
+                pool.submit_task(
+                    SessionTask::new(format!("t{i}"), move || sum_sim(n, 3)).with_tracing(true),
+                );
+            }
+            pool.run().unwrap()
+        }
         let run = |parallel: bool| {
             if parallel {
-                let mut pool = SessionPool::new(Parallel::with_threads(3))
-                    .with_workers(2)
-                    .with_tracing(true);
-                for (i, n) in [4usize, 6, 5].into_iter().enumerate() {
-                    pool.submit(format!("t{i}"), move || sum_sim(n, 3));
-                }
-                pool.run().unwrap()
+                traced(SessionPool::new(Parallel::with_threads(3)).with_workers(2))
             } else {
-                let mut pool = SessionPool::new(Sequential)
-                    .with_workers(1)
-                    .with_tracing(true);
-                for (i, n) in [4usize, 6, 5].into_iter().enumerate() {
-                    pool.submit(format!("t{i}"), move || sum_sim(n, 3));
-                }
-                pool.run().unwrap()
+                traced(SessionPool::new(Sequential).with_workers(1))
             }
         };
         let sequential = run(false);
@@ -532,25 +461,39 @@ mod tests {
 
     #[test]
     fn trace_log_retention_is_opt_in_and_matches_the_summary() {
-        let run = |keep: bool| {
-            let mut pool = SessionPool::new(Sequential)
-                .with_tracing(true)
-                .with_trace_logs(keep);
-            pool.submit("t", || sum_sim(4, 1));
-            pool.run().unwrap()
+        // One batch mixes the three settings: each task decides for itself.
+        let settings = [(false, false), (true, false), (true, true), (false, true)];
+        let mut pool = SessionPool::new(Sequential).with_workers(2);
+        for (traced, retained) in settings {
+            pool.submit_task(
+                SessionTask::new("t", || sum_sim(4, 1))
+                    .with_tracing(traced)
+                    .with_trace_logs(retained),
+            );
+        }
+        let batch = pool.run().unwrap();
+        for ((traced, retained), session) in settings.into_iter().zip(&batch.sessions) {
+            assert_eq!(session.trace.is_some(), traced, "{traced} {retained}");
+            assert_eq!(
+                session.trace_log.is_some(),
+                traced && retained,
+                "a stream is kept only for a traced task that retains it"
+            );
+            if let Some(log) = &session.trace_log {
+                // The retained stream is the one the summary digested.
+                assert_eq!(
+                    mpca_trace::digest_hex(log),
+                    session.trace.as_ref().unwrap().digest
+                );
+            }
+        }
+        let [untraced, digest_only, retained, untraced_retaining] = &batch.sessions[..] else {
+            panic!("four sessions");
         };
-        let plain = run(false);
-        assert!(plain.sessions[0].trace_log.is_none());
-        let retained = run(true);
-        let session = &retained.sessions[0];
-        let log = session.trace_log.as_ref().expect("log retained");
-        // The retained stream is the one the summary digested.
-        assert_eq!(
-            mpca_trace::digest_hex(log),
-            session.trace.as_ref().unwrap().digest
-        );
-        // Retention is invisible to the equality contract.
-        assert_eq!(plain.sessions, retained.sessions);
+        // Retention is invisible to the equality contract; tracing is not.
+        assert_eq!(digest_only, retained);
+        assert_eq!(untraced, untraced_retaining);
+        assert_ne!(untraced, digest_only);
     }
 
     #[test]
@@ -571,7 +514,7 @@ mod tests {
             .with_tracing(true)
             .run(&Sequential)
             .unwrap();
-        let mut pool = SessionPool::new(Sequential).with_tracing(true);
+        let mut pool = SessionPool::new(Sequential);
         pool.submit_task(SessionTask::new("t", || sum_sim(5, 2)).with_tracing(true));
         let pooled = pool.run().unwrap();
         assert_eq!(direct, pooled.sessions[0]);

@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 use std::fmt::Debug;
 use std::time::Duration;
 
-use mpca_metrics::{Phase, PhaseBytes};
+use mpca_metrics::PhaseBytes;
 use mpca_net::{AbortReason, CommStats, PartyId, PartyOutcome, RunResult};
 use mpca_trace::TraceSummary;
 
@@ -63,15 +63,15 @@ pub struct SessionReport {
     pub peak_inbox_bytes: u64,
     /// Peak envelopes queued at any round boundary.
     pub peak_inbox_envelopes: u64,
-    /// The trace summary of the session, when the pool ran with tracing
-    /// ([`SessionPool::with_tracing`](crate::SessionPool::with_tracing)) —
+    /// The trace summary of the session, when its task was traced
+    /// ([`SessionTask::with_tracing`](crate::SessionTask::with_tracing)) —
     /// the canonical digest of the full event stream plus the
     /// trace-derived abort reasons. **Part of equality**: the
     /// parallel == sequential contract covers the entire event stream of a
     /// traced session, not just its aggregates.
     pub trace: Option<TraceSummary>,
-    /// The **full** recorded event stream, retained only when the pool ran
-    /// with [`SessionPool::with_trace_logs`](crate::SessionPool::with_trace_logs)
+    /// The **full** recorded event stream, retained only when its task asked
+    /// for it ([`SessionTask::with_trace_logs`](crate::SessionTask::with_trace_logs))
     /// — the input predicate-backed oracle verdicts and the search loop
     /// evaluate over. Shared, not copied: the `Arc` keeps whole-sweep
     /// retention affordable. **Excluded from equality** (the summary's
@@ -107,58 +107,44 @@ impl PartialEq for SessionReport {
 }
 
 impl SessionReport {
-    /// Digests a typed [`RunResult`].
+    /// Digests a typed [`RunResult`], moving its statistics, trace summary
+    /// and retained event stream into the report. The report carries a
+    /// [`trace_log`](Self::trace_log) exactly when the simulator kept its
+    /// stream ([`Simulator::record_trace`](mpca_net::Simulator::record_trace)).
     pub fn from_result<O: Debug>(
         label: impl Into<String>,
-        result: &RunResult<O>,
+        result: RunResult<O>,
         wall: Duration,
     ) -> Self {
+        let mut abort_reasons = BTreeMap::new();
+        let outcomes = result
+            .outcomes
+            .into_iter()
+            .map(|(id, outcome)| {
+                let digest = OutcomeDigest::from_outcome(&outcome);
+                if let PartyOutcome::Aborted(reason) = outcome {
+                    abort_reasons.insert(id, reason);
+                }
+                (id, digest)
+            })
+            .collect();
         Self {
             label: label.into(),
-            outcomes: result
-                .outcomes
-                .iter()
-                .map(|(id, outcome)| (*id, OutcomeDigest::from_outcome(outcome)))
-                .collect(),
-            abort_reasons: result
-                .outcomes
-                .iter()
-                .filter_map(|(id, outcome)| match outcome {
-                    PartyOutcome::Aborted(reason) => Some((*id, reason.clone())),
-                    PartyOutcome::Output(_) => None,
-                })
-                .collect(),
-            stats: result.stats.clone(),
+            outcomes,
+            abort_reasons,
+            stats: result.stats,
             rounds: result.rounds,
             peak_inbox_bytes: result.peak_inbox_bytes,
             peak_inbox_envelopes: result.peak_inbox_envelopes,
-            trace: result.trace_summary.clone(),
-            trace_log: None,
+            trace: result.trace_summary,
+            trace_log: result.trace.map(|mut log| {
+                log.shrink_to_fit();
+                std::sync::Arc::new(log)
+            }),
             phase_bytes: result.phase_bytes,
             wall,
             queue_wait: Duration::ZERO,
         }
-    }
-
-    /// Digests a typed [`RunResult`], optionally retaining the full trace
-    /// log (see [`SessionReport::trace_log`]) alongside its summary. The
-    /// summary and the log are moved out of `result`, not copied.
-    pub fn from_result_retaining<O: Debug>(
-        label: impl Into<String>,
-        mut result: RunResult<O>,
-        wall: Duration,
-        keep_log: bool,
-    ) -> Self {
-        let trace = result.trace_summary.take();
-        let mut report = Self::from_result(label, &result, wall);
-        report.trace = trace;
-        if keep_log {
-            report.trace_log = result.trace.take().map(|mut log| {
-                log.shrink_to_fit();
-                std::sync::Arc::new(log)
-            });
-        }
-        report
     }
 
     /// Total bytes sent in the session.
@@ -194,12 +180,6 @@ pub struct BatchReport {
     /// buffers instead of copying them. Telemetry only — excluded from any
     /// equality, since concurrent batches share the process counter.
     pub allocated_payload_bytes: u64,
-    /// Wall-microseconds per protocol phase spent inside simulator rounds
-    /// while the batch ran (registry counter deltas over `run()`).
-    /// All-zero unless the metrics plane was enabled. Telemetry only —
-    /// wall-clock is nondeterministic, so this sits *alongside* the
-    /// equality contract, unlike [`BatchReport::phase_bytes_total`].
-    pub phase_wall_us: [u64; Phase::COUNT],
     /// Per-session walls, sorted ascending at construction so quantile
     /// queries are O(1) lookups instead of per-call clone + sort.
     sorted_walls: Vec<Duration>,
@@ -218,7 +198,6 @@ impl BatchReport {
         workers: usize,
         backend: &'static str,
         allocated_payload_bytes: u64,
-        phase_wall_us: [u64; Phase::COUNT],
     ) -> Self {
         let mut sorted_walls: Vec<Duration> = sessions.iter().map(|s| s.wall).collect();
         sorted_walls.sort_unstable();
@@ -230,7 +209,6 @@ impl BatchReport {
             workers,
             backend,
             allocated_payload_bytes,
-            phase_wall_us,
             sorted_walls,
             sorted_queue_waits,
         }
@@ -349,11 +327,12 @@ impl BatchReport {
     }
 }
 
-/// Nearest-rank quantile over an ascending-sorted slice: `0.5` is the
-/// median element, `1.0` the last. Empty slices answer zero.
-fn nearest_rank(sorted: &[Duration], q: f64) -> Duration {
+/// The `q`-quantile (`0.0 ..= 1.0`) of an ascending-sorted slice by the
+/// nearest-rank method: `0.5` is the median element, `1.0` the last. An
+/// empty slice answers `T::default()` (zero for durations and counters).
+pub fn nearest_rank<T: Copy + Default>(sorted: &[T], q: f64) -> T {
     if sorted.is_empty() {
-        return Duration::ZERO;
+        return T::default();
     }
     let rank = ((q.clamp(0.0, 1.0) * sorted.len() as f64).ceil() as usize).max(1) - 1;
     sorted[rank.min(sorted.len() - 1)]
@@ -362,6 +341,7 @@ fn nearest_rank(sorted: &[Duration], q: f64) -> Duration {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mpca_metrics::Phase;
     use mpca_net::AbortReason;
 
     fn report(label: &str, rounds: usize, wall_ms: u64) -> SessionReport {
@@ -413,7 +393,6 @@ mod tests {
             4,
             "parallel",
             7,
-            [0; Phase::COUNT],
         );
         assert_eq!(batch.total_rounds(), 5);
         assert_eq!(batch.total_bytes(), 20);
@@ -440,7 +419,6 @@ mod tests {
             2,
             "sequential",
             0,
-            [0; Phase::COUNT],
         );
         assert_eq!(batch.wall_quantile(0.5), Duration::from_millis(20));
         assert_eq!(batch.wall_quantile(1.0), Duration::from_millis(40));
@@ -460,17 +438,18 @@ mod tests {
             .map(|s| s.label.as_str())
             .collect();
         assert_eq!(slowest, vec!["b", "d"]);
-        let empty = BatchReport::new(
-            vec![],
-            Duration::ZERO,
-            1,
-            "sequential",
-            0,
-            [0; Phase::COUNT],
-        );
+        let empty = BatchReport::new(vec![], Duration::ZERO, 1, "sequential", 0);
         assert_eq!(empty.wall_quantile(0.5), Duration::ZERO);
         assert_eq!(empty.p99(), Duration::ZERO);
         assert_eq!(empty.queue_p99(), Duration::ZERO);
+    }
+
+    #[test]
+    fn quantiles_use_nearest_rank() {
+        assert_eq!(nearest_rank::<u64>(&[], 0.5), 0);
+        assert_eq!(nearest_rank(&[10u64, 20, 30, 40], 0.5), 20);
+        assert_eq!(nearest_rank(&[10u64, 20, 30, 40], 1.0), 40);
+        assert_eq!(nearest_rank(&[10u64, 20, 30, 40], 0.0), 10);
     }
 
     #[test]
@@ -480,14 +459,7 @@ mod tests {
         a.phase_bytes.charge(Phase::Verification, 7);
         let mut b = report("b", 1, 1);
         b.phase_bytes.charge(Phase::Setup, 11);
-        let batch = BatchReport::new(
-            vec![a, b],
-            Duration::from_millis(1),
-            1,
-            "sequential",
-            0,
-            [0; Phase::COUNT],
-        );
+        let batch = BatchReport::new(vec![a, b], Duration::from_millis(1), 1, "sequential", 0);
         let total = batch.phase_bytes_total();
         assert_eq!(total.get(Phase::Setup), 111);
         assert_eq!(total.get(Phase::Verification), 7);
@@ -527,7 +499,7 @@ mod tests {
             trace_summary: None,
             phase_bytes: PhaseBytes::new(),
         };
-        let report = SessionReport::from_result("r", &result, Duration::ZERO);
+        let report = SessionReport::from_result("r", result, Duration::ZERO);
         assert_eq!(report.abort_reason_of(PartyId(1)), Some(&reason));
         assert_eq!(report.abort_reason_of(PartyId(0)), None);
         assert_eq!(report.abort_reasons.len(), 1);

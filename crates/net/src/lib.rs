@@ -59,8 +59,7 @@ pub use party::{
 };
 pub use payload::{Payload, PayloadAllocStats, PayloadBuilder};
 pub use simulator::{
-    InlineDriver, PartyOutcome, PartyStep, PartyTask, RoundDriver, RoundReport, RunResult,
-    SimConfig, Simulator,
+    InlineDriver, PartyOutcome, PartyStep, PartyTask, RoundDriver, RunResult, SimConfig, Simulator,
 };
 pub use stats::CommStats;
 pub use trace::{TraceEvent, TraceLog, TraceSummary};

@@ -1,4 +1,13 @@
 //! The synchronous round-driven simulator.
+//!
+//! A [`Simulator`] is stepped one round at a time through its one stepping
+//! entry, [`Simulator::step_round_with`], which hands the round's
+//! independent [`PartyTask`]s to a [`RoundDriver`] and merges the
+//! resulting [`PartyStep`]s back in party-id order. [`Simulator::run`] loops
+//! it with the in-line [`InlineDriver`]; execution backends (the
+//! `mpca-engine` crate) bring their own drivers. Either way,
+//! [`Simulator::into_result`] turns the finished execution into a
+//! [`RunResult`].
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
@@ -235,32 +244,17 @@ impl RoundDriver for InlineDriver {
     }
 }
 
-/// What one call to [`Simulator::step_round`] did.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RoundReport {
-    /// The 0-based round that was executed.
-    pub round: usize,
-    /// Honest parties that terminated (output or abort) during this round.
-    pub newly_terminated: Vec<PartyId>,
-    /// Bytes charged to the communication statistics during this round.
-    pub bytes_recorded: u64,
-    /// `true` once every honest party has terminated.
-    pub done: bool,
-}
-
 /// The synchronous network simulator.
 ///
 /// Messages sent in round `r` are delivered at the start of round `r + 1`;
 /// round `0` starts with empty inboxes. The execution ends when every honest
 /// party has terminated (output or abort), or errs when `max_rounds` is hit.
 ///
-/// Two driving styles are supported:
-///
-/// * [`Simulator::run`] — one-shot, consuming the simulator (the historical
-///   API, now a thin loop over `step_round`);
-/// * [`Simulator::step_round`] / [`Simulator::step_round_with`] — incremental
-///   round stepping for execution backends (see the `mpca-engine` crate),
-///   with [`Simulator::into_result`] to finish.
+/// [`Simulator::step_round_with`] is the one stepping entry: it executes a
+/// round's per-party tasks through a [`RoundDriver`] (execution backends in
+/// the `mpca-engine` crate bring their own), and
+/// [`Simulator::into_result`] finishes. [`Simulator::run`] loops it with
+/// the [`InlineDriver`].
 pub struct Simulator<L: PartyLogic> {
     n: usize,
     honest: BTreeMap<PartyId, L>,
@@ -430,48 +424,26 @@ impl<L: PartyLogic> Simulator<L> {
             .collect()
     }
 
-    /// Executes one synchronous round in-line on the calling thread.
-    ///
-    /// Stepping an already-complete execution is a no-op reporting
-    /// `done: true`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetError::RoundLimitExceeded`] if the execution is not
-    /// complete and `max_rounds` rounds have already run.
-    pub fn step_round(&mut self) -> Result<RoundReport, NetError> {
-        match self.begin_round()? {
-            None => Ok(self.noop_report()),
-            Some(tasks) => {
-                let steps: Vec<PartyStep<L::Output>> =
-                    tasks.into_iter().map(PartyTask::execute).collect();
-                Ok(self.complete_round(steps))
-            }
-        }
-    }
-
     /// Executes one synchronous round, delegating the independent per-party
     /// tasks to `driver` (which may run them concurrently). The merge back
-    /// into simulator state is always in ascending party-id order, so any
-    /// correct driver produces an execution bit-for-bit identical to
-    /// [`Simulator::step_round`].
+    /// into simulator state is always in ascending party-id order, so every
+    /// correct driver produces a bit-for-bit identical execution. Stepping
+    /// an already-complete execution is a no-op.
     ///
     /// # Errors
     ///
     /// Returns [`NetError::RoundLimitExceeded`] if the execution is not
     /// complete and `max_rounds` rounds have already run.
-    pub fn step_round_with<D: RoundDriver>(&mut self, driver: &D) -> Result<RoundReport, NetError>
+    pub fn step_round_with<D: RoundDriver>(&mut self, driver: &D) -> Result<(), NetError>
     where
         L: Send,
         L::Output: Send,
     {
-        match self.begin_round()? {
-            None => Ok(self.noop_report()),
-            Some(tasks) => {
-                let steps = driver.drive(tasks);
-                Ok(self.complete_round(steps))
-            }
+        if let Some(tasks) = self.begin_round()? {
+            let steps = driver.drive(tasks);
+            self.complete_round(steps);
         }
+        Ok(())
     }
 
     /// Consumes the simulator and returns the execution result.
@@ -479,8 +451,9 @@ impl<L: PartyLogic> Simulator<L> {
     /// # Errors
     ///
     /// Returns [`NetError::ExecutionIncomplete`] if honest parties have not
-    /// all terminated yet (the round *limit* is enforced by `step_round`,
-    /// not here — finishing early is not a limit overrun).
+    /// all terminated yet (the round *limit* is enforced by
+    /// `step_round_with`, not here — finishing early is not a limit
+    /// overrun).
     pub fn into_result(mut self) -> Result<RunResult<L::Output>, NetError> {
         if self.is_complete() {
             // Hand the inbox planes back to the thread-local pool so the
@@ -540,9 +513,13 @@ impl<L: PartyLogic> Simulator<L> {
     /// Returns [`NetError::RoundLimitExceeded`] if honest parties are still
     /// running after `max_rounds` rounds — this always indicates a protocol
     /// implementation bug, never a legal protocol outcome.
-    pub fn run(mut self) -> Result<RunResult<L::Output>, NetError> {
+    pub fn run(mut self) -> Result<RunResult<L::Output>, NetError>
+    where
+        L: Send,
+        L::Output: Send,
+    {
         while !self.is_complete() {
-            self.step_round()?;
+            self.step_round_with(&InlineDriver)?;
         }
         self.into_result()
     }
@@ -587,15 +564,13 @@ impl<L: PartyLogic> Simulator<L> {
     /// Steps are merged in ascending party-id order regardless of the order
     /// the driver returned them in, which keeps statistics accumulation and
     /// message delivery deterministic.
-    fn complete_round(&mut self, mut steps: Vec<PartyStep<L::Output>>) -> RoundReport {
+    fn complete_round(&mut self, mut steps: Vec<PartyStep<L::Output>>) {
         let round = self.round;
-        let bytes_before = self.stats.total_bytes();
         // Wall attribution is live telemetry only (clock read gated on the
         // metrics switch); the whole round is attributed to the phase it
         // *started* in, matching the byte-charging order below.
         let round_timer = mpca_metrics::enabled().then(Instant::now);
         let wall_phase = self.phase.current();
-        let mut newly_terminated = Vec::new();
         let mut round_milestones: Vec<MilestoneEvent> = Vec::new();
 
         // Honest sends of round r are charged under the phase as of the
@@ -668,7 +643,6 @@ impl<L: PartyLogic> Simulator<L> {
                     });
                     self.outcomes
                         .insert(party_step.id, PartyOutcome::Output(output));
-                    newly_terminated.push(party_step.id);
                 }
                 Step::Abort(reason) => {
                     round_milestones.push(MilestoneEvent {
@@ -680,7 +654,6 @@ impl<L: PartyLogic> Simulator<L> {
                     });
                     self.outcomes
                         .insert(party_step.id, PartyOutcome::Aborted(reason));
-                    newly_terminated.push(party_step.id);
                 }
             }
         }
@@ -757,27 +730,11 @@ impl<L: PartyLogic> Simulator<L> {
         }
         self.round = round + 1;
 
-        let done = self.outcomes.len() == self.honest.len();
-        if done {
+        if self.outcomes.len() == self.honest.len() {
             self.stats.set_rounds(self.round);
         }
         if let Some(start) = round_timer {
             self.phase_wall_us[wall_phase.index()] += start.elapsed().as_micros() as u64;
-        }
-        RoundReport {
-            round,
-            newly_terminated,
-            bytes_recorded: self.stats.total_bytes() - bytes_before,
-            done,
-        }
-    }
-
-    fn noop_report(&self) -> RoundReport {
-        RoundReport {
-            round: self.round.saturating_sub(1),
-            newly_terminated: Vec::new(),
-            bytes_recorded: 0,
-            done: true,
         }
     }
 }

@@ -14,7 +14,7 @@ use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use mpca_engine::{ExecutionBackend, SessionReport, SessionTask};
+use mpca_engine::{nearest_rank, ExecutionBackend, SessionReport, SessionTask};
 use mpca_metrics::json::escape;
 
 use crate::chrome::ChromeTrace;
@@ -376,11 +376,11 @@ fn assemble(
     for (w, stats) in windows.iter_mut().enumerate() {
         window_walls[w].sort_unstable();
         window_queues[w].sort_unstable();
-        stats.wall_p50_us = quantile(&window_walls[w], 0.5);
-        stats.wall_p90_us = quantile(&window_walls[w], 0.9);
-        stats.wall_p99_us = quantile(&window_walls[w], 0.99);
-        stats.queue_p50_us = quantile(&window_queues[w], 0.5);
-        stats.queue_p99_us = quantile(&window_queues[w], 0.99);
+        stats.wall_p50_us = nearest_rank(&window_walls[w], 0.5);
+        stats.wall_p90_us = nearest_rank(&window_walls[w], 0.9);
+        stats.wall_p99_us = nearest_rank(&window_walls[w], 0.99);
+        stats.queue_p50_us = nearest_rank(&window_queues[w], 0.5);
+        stats.queue_p99_us = nearest_rank(&window_queues[w], 0.99);
         stats.scenarios_per_sec = stats.completed as f64 / window_secs;
         if stats.completed > 0 {
             stats.abort_rate = stats.aborted as f64 / stats.completed as f64;
@@ -411,11 +411,11 @@ fn assemble(
         completed,
         aborted,
         errors,
-        wall_p50_us: quantile(&walls, 0.5),
-        wall_p90_us: quantile(&walls, 0.9),
-        wall_p99_us: quantile(&walls, 0.99),
-        queue_p50_us: quantile(&queues, 0.5),
-        queue_p99_us: quantile(&queues, 0.99),
+        wall_p50_us: nearest_rank(&walls, 0.5),
+        wall_p90_us: nearest_rank(&walls, 0.9),
+        wall_p99_us: nearest_rank(&walls, 0.99),
+        queue_p50_us: nearest_rank(&queues, 0.5),
+        queue_p99_us: nearest_rank(&queues, 0.99),
         windows,
         sampled,
     }
@@ -510,15 +510,6 @@ impl SoakReport {
         }
         trace
     }
-}
-
-/// Nearest-rank quantile over an ascending-sorted slice (0 when empty).
-fn quantile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((q.clamp(0.0, 1.0) * sorted.len() as f64).ceil() as usize).max(1) - 1;
-    sorted[rank.min(sorted.len() - 1)]
 }
 
 /// One step of the splitmix64 stream — the arrival-jitter PRNG. Small and
@@ -649,13 +640,5 @@ mod tests {
         });
         assert!(report.errors > 0);
         assert_eq!(report.completed + report.errors, report.admitted);
-    }
-
-    #[test]
-    fn quantiles_use_nearest_rank() {
-        assert_eq!(quantile(&[], 0.5), 0);
-        assert_eq!(quantile(&[10, 20, 30, 40], 0.5), 20);
-        assert_eq!(quantile(&[10, 20, 30, 40], 1.0), 40);
-        assert_eq!(quantile(&[10, 20, 30, 40], 0.0), 10);
     }
 }

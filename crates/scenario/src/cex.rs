@@ -88,11 +88,12 @@ pub(crate) fn run_scenario_traced<B: ExecutionBackend>(
     scenario: &Scenario,
     backend: B,
 ) -> Result<SessionReport, NetError> {
-    let mut pool = SessionPool::new(backend)
-        .with_workers(1)
-        .with_tracing(true)
-        .with_trace_logs(true);
-    registry::submit_scenario(&mut pool, scenario);
+    let mut pool = SessionPool::new(backend).with_workers(1);
+    pool.submit_task(
+        registry::scenario_task(scenario)
+            .with_tracing(true)
+            .with_trace_logs(true),
+    );
     let mut batch = pool.run()?;
     Ok(batch.sessions.remove(0))
 }

@@ -36,7 +36,7 @@
 //!    can no more inflate it than they can inflate charged bits.
 //! 6. [`TracePredicates`](Property::TracePredicates) — for sessions whose
 //!    full event stream was retained
-//!    ([`SessionPool::with_trace_logs`](mpca_engine::SessionPool::with_trace_logs)),
+//!    ([`SessionTask::with_trace_logs`](mpca_engine::SessionTask::with_trace_logs)),
 //!    the `mpca-predicate` [`standard_set`](mpca_predicate::standard_set)
 //!    must hold over the [`TaggedTrace`](mpca_trace::TaggedTrace): frame
 //!    legality, termination silence, detection-in-verification, phase
@@ -485,8 +485,8 @@ fn check_budget(scenario: &Scenario, report: &SessionReport) -> PropertyCheck {
 
 /// Evaluates the `mpca-predicate` standard set over the session's retained
 /// event stream. Without a retained stream the property trivially holds —
-/// retention is the pool's opt-in
-/// ([`with_trace_logs`](mpca_engine::SessionPool::with_trace_logs)), and a
+/// retention is the task's opt-in
+/// ([`with_trace_logs`](mpca_engine::SessionTask::with_trace_logs)), and a
 /// summary digest alone cannot be evaluated span by span.
 fn check_trace_predicates(scenario: &Scenario, report: &SessionReport) -> PropertyCheck {
     let Some(log) = &report.trace_log else {

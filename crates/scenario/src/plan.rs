@@ -298,12 +298,14 @@ impl Campaign {
         let scenarios = self.scenarios();
         let mut pool = SessionPool::new(backend)
             .with_workers(workers)
-            .with_tracing(traced)
-            .with_trace_logs(traced && retain_logs)
             .with_progress(progress);
         pool.reserve(scenarios.len());
         for scenario in &scenarios {
-            registry::submit_scenario(&mut pool, scenario);
+            pool.submit_task(
+                registry::scenario_task(scenario)
+                    .with_tracing(traced)
+                    .with_trace_logs(retain_logs),
+            );
         }
         let batch = pool.run()?;
         let outcomes = scenarios

@@ -5,9 +5,9 @@
 //! scenario it builds the protocol's parties through the `mpca-core`
 //! constructors, splits off the corrupted parties' logic for the
 //! proxy-based adversaries, compiles the adversary spec into `mpca-net`
-//! combinators, and submits the finished simulator constructor to an
-//! `mpca-engine` [`SessionPool`]. Construction runs on the pool's worker
-//! threads, so keygen and input encryption are part of the parallelised
+//! combinators, and wraps the finished simulator constructor in an
+//! `mpca-engine` [`SessionTask`]. Construction runs on whichever worker runs
+//! the task, so keygen and input encryption are part of the parallelised
 //! work.
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -17,7 +17,7 @@ use mpca_core::{
     ProtocolKind,
 };
 use mpca_encfunc::Functionality;
-use mpca_engine::{ExecutionBackend, SessionPool, SessionTask};
+use mpca_engine::{ExecutionBackend, SessionTask};
 use mpca_net::{
     AbortAt, Adversary, CommonRandomString, Compose, Envelope, Equivocate, FloodBudget, NetError,
     NoAdversary, PartyId, PartyLogic, Payload, ProxyAdversary, SilentAdversary, SimConfig,
@@ -60,18 +60,6 @@ fn crs_label(scenario: &Scenario) -> Vec<u8> {
         &scenario.seed.to_le_bytes()[..],
     ]
     .concat()
-}
-
-/// Submits `scenario` to `pool` as one session, mirroring the pool's
-/// tracing configuration onto the task.
-///
-/// The session label is the scenario label, so the campaign can zip pool
-/// reports back onto scenarios in submission order.
-pub fn submit_scenario<B: ExecutionBackend>(pool: &mut SessionPool<B>, scenario: &Scenario) {
-    let task = scenario_task(scenario)
-        .with_tracing(pool.tracing())
-        .with_trace_logs(pool.trace_logs());
-    pool.submit_task(task);
 }
 
 /// Compiles `scenario` into a standalone [`SessionTask`] — the same
@@ -397,7 +385,7 @@ mod tests {
     use super::*;
     use crate::plan::ScenarioPlan;
     use crate::spec::CorruptionSpec;
-    use mpca_engine::Sequential;
+    use mpca_engine::{Sequential, SessionPool};
 
     #[test]
     fn every_protocol_kind_submits_and_runs() {
@@ -407,7 +395,7 @@ mod tests {
                 .with_grid([(8, 8)])
                 .with_seed(5);
             for scenario in plan.scenarios() {
-                submit_scenario(&mut pool, &scenario);
+                pool.submit_task(scenario_task(&scenario));
             }
         }
         let batch = pool.run().expect("all-honest scenarios run");
@@ -435,8 +423,8 @@ mod tests {
         .with_seed(9);
 
         let mut pool = SessionPool::new(Sequential).with_workers(1);
-        submit_scenario(&mut pool, &honest_plan.scenarios()[0]);
-        submit_scenario(&mut pool, &proxy_plan.scenarios()[0]);
+        pool.submit_task(scenario_task(&honest_plan.scenarios()[0]));
+        pool.submit_task(scenario_task(&proxy_plan.scenarios()[0]));
         let batch = pool.run().unwrap();
         let all_honest_output = batch.sessions[0].outcomes.values().next().unwrap().clone();
         assert!(batch.sessions[1]
@@ -469,7 +457,7 @@ mod tests {
         assert_eq!(corrupted.len(), 3, "2 silent + 1 flooding, disjoint");
 
         let mut pool = SessionPool::new(Sequential).with_workers(1);
-        submit_scenario(&mut pool, &scenario);
+        pool.submit_task(scenario_task(&scenario));
         let batch = pool.run().expect("Both scenario runs");
         let report = &batch.sessions[0];
         // The flooding side's junk is never charged (§3.1), and the honest

@@ -2,6 +2,7 @@
 
 use std::time::Duration;
 
+use mpca_engine::nearest_rank;
 use mpca_trace::TraceSummary;
 
 use crate::oracle::ScenarioOutcome;
@@ -80,24 +81,11 @@ impl CampaignReport {
         self.outcomes.iter().all(ScenarioOutcome::as_expected)
     }
 
-    /// Per-scenario session walls sorted ascending — the basis for the
-    /// campaign-level latency quantiles.
-    fn sorted_walls(&self) -> Vec<Duration> {
-        let mut walls: Vec<Duration> = self.outcomes.iter().map(|o| o.report.wall).collect();
-        walls.sort_unstable();
-        walls
-    }
-
     /// Nearest-rank session-wall quantile across the campaign (`q` in
     /// `[0, 1]`); `Duration::ZERO` on an empty campaign. Telemetry, not part
     /// of any determinism contract.
     pub fn wall_quantile(&self, q: f64) -> Duration {
-        let walls = self.sorted_walls();
-        if walls.is_empty() {
-            return Duration::ZERO;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * walls.len() as f64).ceil() as usize).clamp(1, walls.len());
-        walls[rank - 1]
+        self.quantile(|o| o.report.wall, q)
     }
 
     /// Median session wall across the campaign.
@@ -110,23 +98,11 @@ impl CampaignReport {
         self.wall_quantile(0.99)
     }
 
-    /// Per-scenario pool queue waits sorted ascending.
-    fn sorted_queue_waits(&self) -> Vec<Duration> {
-        let mut waits: Vec<Duration> = self.outcomes.iter().map(|o| o.report.queue_wait).collect();
-        waits.sort_unstable();
-        waits
-    }
-
     /// Nearest-rank queue-wait quantile across the campaign (`q` in
     /// `[0, 1]`); `Duration::ZERO` on an empty campaign. Telemetry, not part
     /// of any determinism contract.
     pub fn queue_quantile(&self, q: f64) -> Duration {
-        let waits = self.sorted_queue_waits();
-        if waits.is_empty() {
-            return Duration::ZERO;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * waits.len() as f64).ceil() as usize).clamp(1, waits.len());
-        waits[rank - 1]
+        self.quantile(|o| o.report.queue_wait, q)
     }
 
     /// Median pool queue wait across the campaign.
@@ -137,6 +113,13 @@ impl CampaignReport {
     /// 99th-percentile pool queue wait across the campaign.
     pub fn queue_p99(&self) -> Duration {
         self.queue_quantile(0.99)
+    }
+
+    /// The `q`-quantile of one per-scenario duration.
+    fn quantile(&self, of: impl Fn(&ScenarioOutcome) -> Duration, q: f64) -> Duration {
+        let mut sorted: Vec<Duration> = self.outcomes.iter().map(of).collect();
+        sorted.sort_unstable();
+        nearest_rank(&sorted, q)
     }
 
     /// The per-scenario trace summaries of a traced campaign run

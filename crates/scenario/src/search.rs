@@ -531,13 +531,14 @@ fn run_batch<B: ExecutionBackend>(
     workers: usize,
 ) -> Result<Vec<(Scenario, mpca_engine::SessionReport)>, NetError> {
     let scenarios: Vec<Scenario> = candidates.iter().map(|c| c.to_scenario(seed)).collect();
-    let mut pool = SessionPool::new(backend)
-        .with_workers(workers)
-        .with_tracing(true)
-        .with_trace_logs(true);
+    let mut pool = SessionPool::new(backend).with_workers(workers);
     pool.reserve(scenarios.len());
     for scenario in &scenarios {
-        registry::submit_scenario(&mut pool, scenario);
+        pool.submit_task(
+            registry::scenario_task(scenario)
+                .with_tracing(true)
+                .with_trace_logs(true),
+        );
     }
     let batch = pool.run()?;
     Ok(scenarios.into_iter().zip(batch.sessions).collect())

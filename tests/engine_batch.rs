@@ -236,7 +236,7 @@ fn pooled_session_matches_direct_simulator_run() {
     });
     let batch = pool.run().unwrap();
 
-    let expected = SessionReport::from_result("spot", &direct, std::time::Duration::ZERO);
+    let expected = SessionReport::from_result("spot", direct.clone(), std::time::Duration::ZERO);
     assert_eq!(batch.sessions[0], expected);
     assert_eq!(batch.session("spot").unwrap().rounds, direct.rounds);
     assert_eq!(batch.total_bytes(), direct.stats.total_bytes());

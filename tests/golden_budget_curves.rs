@@ -74,7 +74,7 @@ fn measure_calibration_sweep() -> Vec<Measured> {
                 .with_seed(seed);
                 let scenario = plan.scenarios().remove(0);
                 let payload = scenario.payload_bytes();
-                registry::submit_scenario(&mut pool, &scenario);
+                pool.submit_task(registry::scenario_task(&scenario));
                 layout.push((kind, n, h, payload));
             }
         }

@@ -36,7 +36,7 @@ proptest! {
         prop_assert!(scenarios.len() >= 30, "the sweep grids cover 30+ honest points");
         let mut pool = SessionPool::new(Sequential).with_workers(2);
         for scenario in &scenarios {
-            registry::submit_scenario(&mut pool, scenario);
+            pool.submit_task(registry::scenario_task(scenario));
         }
         let batch = pool.run().expect("honest sweep scenarios run");
         for (scenario, report) in scenarios.into_iter().zip(batch.sessions) {
@@ -73,7 +73,7 @@ proptest! {
             .remove(0);
 
         let mut pool = SessionPool::new(Sequential).with_workers(1);
-        registry::submit_scenario(&mut pool, &scenario);
+        pool.submit_task(registry::scenario_task(&scenario));
         let mut batch = pool.run().expect("honest control runs");
         let mut report = batch.sessions.remove(0);
 

@@ -69,10 +69,8 @@ fn run_scenario(
         .with_grid([(n, h)])
         .with_seed(seed);
     let scenario = plan.scenarios().remove(0);
-    let mut pool = SessionPool::new(Sequential)
-        .with_workers(1)
-        .with_tracing(true);
-    registry::submit_scenario(&mut pool, &scenario);
+    let mut pool = SessionPool::new(Sequential).with_workers(1);
+    pool.submit_task(registry::scenario_task(&scenario).with_tracing(true));
     let batch = pool.run().expect("honest session runs");
     batch.sessions.into_iter().next().expect("one session")
 }

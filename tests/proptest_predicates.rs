@@ -48,11 +48,12 @@ fn run_recorded<B: ExecutionBackend>(
     backend: B,
     retain: bool,
 ) -> SessionReport {
-    let mut pool = SessionPool::new(backend)
-        .with_workers(1)
-        .with_tracing(true)
-        .with_trace_logs(retain);
-    registry::submit_scenario(&mut pool, scenario);
+    let mut pool = SessionPool::new(backend).with_workers(1);
+    pool.submit_task(
+        registry::scenario_task(scenario)
+            .with_tracing(true)
+            .with_trace_logs(retain),
+    );
     let mut batch = pool.run().expect("scenario executes");
     batch.sessions.remove(0)
 }
