@@ -322,11 +322,15 @@ pub struct MpcParty {
     covering_members: BTreeSet<PartyId>,
     decryptor: Option<ThresholdDecryptor>,
     contributions: Vec<KeygenContribution>,
+    /// The members whose keygen contributions this member combined into
+    /// its key, itself included: exactly the members whose partial
+    /// decryptions it needs (concrete path).
+    key_members: BTreeSet<PartyId>,
     pk_b: Option<Vec<u64>>,
     ct_view: BTreeMap<PartyId, Vec<u8>>,
     equality: Option<PairwiseEquality>,
     aggregate: Option<LweCiphertext>,
-    partials: Vec<PartialDecryption>,
+    partials: BTreeMap<PartyId, PartialDecryption>,
     output: Option<Vec<u8>>,
 }
 
@@ -476,6 +480,7 @@ impl PartyLogic for MpcParty {
                                 &mut self.prg,
                             );
                             self.contributions.push(contribution.clone());
+                            self.key_members.insert(self.id);
                             self.decryptor = Some(decryptor);
                             ctx.send_to_all(self.other_members(), &MpcMsg::Keygen(contribution));
                         }
@@ -515,6 +520,12 @@ impl PartyLogic for MpcParty {
                                         envelope.from,
                                         c.b.len(),
                                         self.params.lwe.pk_rows
+                                    )));
+                                }
+                                if !self.key_members.insert(envelope.from) {
+                                    return Step::Abort(AbortReason::OverReceipt(format!(
+                                        "two keygen contributions from {}",
+                                        envelope.from
                                     )));
                                 }
                                 self.contributions.push(c)
@@ -767,7 +778,7 @@ impl PartyLogic for MpcParty {
                             };
                             let decryptor = self.decryptor.as_ref().expect("member ran keygen");
                             let partial = decryptor.partial_decrypt(&mut self.prg, &aggregate);
-                            self.partials.push(partial.clone());
+                            self.partials.insert(self.id, partial.clone());
                             self.aggregate = Some(aggregate);
                             ctx.send_to_all(self.other_members(), &MpcMsg::Partial(partial));
                         }
@@ -794,7 +805,21 @@ impl PartyLogic for MpcParty {
                                     ));
                                 }
                                 match envelope.decode::<MpcMsg>() {
-                                    Ok(MpcMsg::Partial(p)) => self.partials.push(p),
+                                    Ok(MpcMsg::Partial(p)) => {
+                                        if !self.key_members.contains(&envelope.from) {
+                                            return Step::Abort(AbortReason::OverReceipt(format!(
+                                                "partial decryption from {}, whose keygen \
+                                                 contribution is not in the key",
+                                                envelope.from
+                                            )));
+                                        }
+                                        if self.partials.insert(envelope.from, p).is_some() {
+                                            return Step::Abort(AbortReason::OverReceipt(format!(
+                                                "two partial decryptions from {}",
+                                                envelope.from
+                                            )));
+                                        }
+                                    }
                                     Ok(_) => {
                                         return Step::Abort(AbortReason::Malformed(
                                             "expected a partial decryption".into(),
@@ -805,9 +830,24 @@ impl PartyLogic for MpcParty {
                                     }
                                 }
                             }
+                            // The key is the sum of exactly the key
+                            // members' contributions, so decrypting needs
+                            // one share from each of them: with one
+                            // missing, the sum is wrong, not just noisy.
+                            if let Some(missing) = self
+                                .key_members
+                                .iter()
+                                .find(|m| !self.partials.contains_key(m))
+                            {
+                                return Step::Abort(AbortReason::MissingMessage(format!(
+                                    "no partial decryption from {missing}"
+                                )));
+                            }
+                            let partials: Vec<PartialDecryption> =
+                                std::mem::take(&mut self.partials).into_values().collect();
                             let aggregate = self.aggregate.as_ref().expect("member aggregated");
                             let Some(chunks) =
-                                combine_partials(&self.params.lwe, aggregate, &self.partials)
+                                combine_partials(&self.params.lwe, aggregate, &partials)
                             else {
                                 return Step::Abort(AbortReason::CryptoFailure(
                                     "partial decryptions are inconsistent".into(),
@@ -951,11 +991,12 @@ pub(crate) fn committee_parties(
                 covering_members: BTreeSet::new(),
                 decryptor: None,
                 contributions: Vec::new(),
+                key_members: BTreeSet::new(),
                 pk_b: None,
                 ct_view: BTreeMap::new(),
                 equality: None,
                 aggregate: None,
-                partials: Vec::new(),
+                partials: BTreeMap::new(),
                 output: None,
             }
         })
@@ -1176,6 +1217,94 @@ mod tests {
         assert_short_keygen_frame_is_malformed(&run_with_short_keygen_frame(
             crate::tradeoff::tradeoff_parties,
         ));
+    }
+
+    /// Runs `build` at n = 12, h = 6 with party 0 corrupted: it follows the
+    /// protocol, except that its `Partial` to one other member — the first
+    /// one it addresses — is dropped. Returns the result and that member.
+    fn run_with_one_partial_withheld(build: PartyBuilder) -> (RunResult<Vec<u8>>, PartyId) {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+
+        let params = ProtocolParams::new(12, 6).with_lwe(mpca_crypto::lwe::LweParams {
+            plaintext_modulus: 1 << 16,
+            ..mpca_crypto::lwe::LweParams::toy()
+        });
+        let functionality = Functionality::Sum { input_bytes: 2 };
+        let (inputs, _) = sum_inputs(params.n);
+        let crs = CommonRandomString::from_label(b"mpc-withheld-partial");
+        let corrupted: BTreeSet<PartyId> = [PartyId(0)].into();
+        let path = ExecutionPath::Concrete;
+        let honest = build(&params, &functionality, path, &inputs, crs, &corrupted);
+        let proxied = build(
+            &params,
+            &functionality,
+            path,
+            &inputs,
+            crs,
+            &BTreeSet::new(),
+        )
+        .into_iter()
+        .filter(|party| corrupted.contains(&party.id));
+        let victim = Arc::new(AtomicUsize::new(usize::MAX));
+        let chosen = Arc::clone(&victim);
+        let adversary = ProxyAdversary::new(proxied, params.n, move |_, envelope| {
+            if let Ok(MpcMsg::Partial(_)) = envelope.decode::<MpcMsg>() {
+                let first = chosen
+                    .compare_exchange(
+                        usize::MAX,
+                        envelope.to.index(),
+                        Ordering::Relaxed,
+                        Ordering::Relaxed,
+                    )
+                    .unwrap_or_else(|current| current);
+                if first == usize::MAX || first == envelope.to.index() {
+                    return Vec::new();
+                }
+            }
+            vec![envelope.clone()]
+        });
+        let result = Simulator::new(params.n, honest, Box::new(adversary), SimConfig::default())
+            .unwrap()
+            .run()
+            .unwrap();
+        let victim = victim.load(Ordering::Relaxed);
+        assert_ne!(victim, usize::MAX, "party 0 sent no partial decryption");
+        (result, PartyId(victim))
+    }
+
+    fn assert_withheld_partial_is_a_missing_message(build: PartyBuilder) {
+        let (result, victim) = run_with_one_partial_withheld(build);
+        assert!(
+            matches!(
+                result.outcome_of(victim),
+                Some(PartyOutcome::Aborted(AbortReason::MissingMessage(text)))
+                    if text.contains("partial decryption from P0")
+            ),
+            "{victim} got {:?}",
+            result.outcome_of(victim)
+        );
+        let outputs: BTreeSet<&Vec<u8>> = result
+            .outcomes
+            .values()
+            .filter_map(PartyOutcome::output)
+            .collect();
+        assert!(
+            outputs.len() <= 1,
+            "honest parties output different values: {outputs:?}"
+        );
+        let (_, expected) = sum_inputs(12);
+        assert!(result.correct_or_aborted(&expected));
+    }
+
+    #[test]
+    fn withheld_partial_decryption_aborts_as_missing_in_algorithm_3() {
+        assert_withheld_partial_is_a_missing_message(mpc_parties);
+    }
+
+    #[test]
+    fn withheld_partial_decryption_aborts_as_missing_in_algorithm_8() {
+        assert_withheld_partial_is_a_missing_message(crate::tradeoff::tradeoff_parties);
     }
 
     #[test]

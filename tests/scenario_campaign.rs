@@ -6,8 +6,8 @@ use mpc_aborts::engine::Parallel;
 use mpc_aborts::net::{AbortReason, PartyId};
 use mpc_aborts::protocols::ProtocolKind;
 use mpc_aborts::scenario::{
-    standard_campaign, AdversarySpec, Campaign, CorruptionSpec, Expectation, Property,
-    ScenarioPlan, Verdict,
+    standard_campaign, tiny_sweep_campaign, AdversarySpec, Campaign, CorruptionSpec, Expectation,
+    Property, ScenarioPlan, Verdict,
 };
 
 #[test]
@@ -111,4 +111,30 @@ fn withholding_forces_selective_aborts_without_breaking_agreement() {
         outcome.check(Property::AgreementOrAbort).verdict,
         Verdict::Holds
     );
+}
+
+#[test]
+fn theorem_4_withholding_never_splits_honest_outputs() {
+    // At these seeds a withholding committee member once left members one
+    // partial decryption short; they combined anyway and forwarded a wrong
+    // sum, and parties covered only by them output it. Each member now
+    // combines only with one partial from every member in its key.
+    for seed in [
+        9_972_603_435_854_510_652,
+        14_119_491_246_550_939_236,
+        15_965_508_135_439_572_106,
+    ] {
+        let mut campaign = tiny_sweep_campaign(seed);
+        campaign.plans.retain(|plan| {
+            plan.kind == ProtocolKind::Theorem4Tradeoff
+                && matches!(plan.adversary, AdversarySpec::Withhold { .. })
+        });
+        assert_eq!(campaign.scenarios().len(), 2, "the n = 8 and n = 12 points");
+        let report = campaign.run(Parallel::with_threads(2), 2).unwrap();
+        assert!(
+            report.all_as_expected(),
+            "seed {seed}:\n{}",
+            report.render()
+        );
+    }
 }
