@@ -447,13 +447,11 @@ pub fn exp_multi_output() -> Table {
         let inputs: Vec<Vec<u8>> = bids.iter().map(|b| b.to_le_bytes().to_vec()).collect();
         let expected = functionality.evaluate(&inputs);
         let crs = CommonRandomString::from_label(format!("e10-{n}").as_bytes());
-        let host = multi_output::multi_output_host(&params, &functionality, &crs);
         let parties = multi_output::multi_output_parties(
             &params,
             &functionality,
             &inputs,
             crs,
-            host,
             &BTreeSet::new(),
         );
         let result = Simulator::all_honest(n, parties).unwrap().run().unwrap();

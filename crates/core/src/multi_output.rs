@@ -152,12 +152,13 @@ impl std::fmt::Debug for MultiOutputParty {
 }
 
 impl MultiOutputParty {
-    /// Creates a party. All parties of one execution share the same host.
+    /// Creates a party. All parties of one execution share the same host,
+    /// which [`multi_output_parties`] builds.
     ///
     /// # Panics
     ///
     /// Panics if the input width does not match the functionality.
-    pub fn new(
+    pub(crate) fn new(
         id: PartyId,
         params: ProtocolParams,
         functionality: MultiOutputFunctionality,
@@ -535,15 +536,27 @@ impl PartyLogic for MultiOutputParty {
 }
 
 /// Builds the honest parties of an Algorithm 4 execution (hybrid path).
+///
+/// The parties share one ideal-functionality host over the execution's own
+/// LWE matrix, built here, so it always matches `functionality` and `crs`.
 pub fn multi_output_parties(
     params: &ProtocolParams,
     functionality: &MultiOutputFunctionality,
     inputs: &[Vec<u8>],
     crs: CommonRandomString,
-    host: SharedHost,
     corrupted: &BTreeSet<PartyId>,
 ) -> Vec<MultiOutputParty> {
     assert_eq!(inputs.len(), params.n, "one input per party required");
+    let shared_a = crate::crs_cache::shared_matrix(&params.lwe, &crs, b"multi-lwe-matrix")
+        .as_ref()
+        .clone();
+    let host = mpca_encfunc::EncFuncHost::new(
+        params.lwe,
+        mpca_encfunc::hybrid::HostFunctionality::Multi(functionality.clone()),
+        1,
+    )
+    .with_shared_matrix(shared_a)
+    .shared();
     PartyId::all(params.n)
         .filter(|id| !corrupted.contains(id))
         .map(|id| {
@@ -559,24 +572,6 @@ pub fn multi_output_parties(
         .collect()
 }
 
-/// Creates the shared host for a multi-output execution.
-pub fn multi_output_host(
-    params: &ProtocolParams,
-    functionality: &MultiOutputFunctionality,
-    crs: &CommonRandomString,
-) -> SharedHost {
-    let shared_a = crate::crs_cache::shared_matrix(&params.lwe, crs, b"multi-lwe-matrix")
-        .as_ref()
-        .clone();
-    mpca_encfunc::EncFuncHost::new(
-        params.lwe,
-        mpca_encfunc::hybrid::HostFunctionality::Multi(functionality.clone()),
-        1,
-    )
-    .with_shared_matrix(shared_a)
-    .shared()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -590,15 +585,7 @@ mod tests {
         let inputs: Vec<Vec<u8>> = bids.iter().map(|b| b.to_le_bytes().to_vec()).collect();
         let expected = functionality.evaluate(&inputs);
         let crs = CommonRandomString::from_label(b"multi-auction");
-        let host = multi_output_host(&params, &functionality, &crs);
-        let parties = multi_output_parties(
-            &params,
-            &functionality,
-            &inputs,
-            crs,
-            host,
-            &BTreeSet::new(),
-        );
+        let parties = multi_output_parties(&params, &functionality, &inputs, crs, &BTreeSet::new());
         let result = Simulator::all_honest(params.n, parties)
             .unwrap()
             .run()
@@ -621,15 +608,7 @@ mod tests {
         let inputs: Vec<Vec<u8>> = (0..params.n).map(|i| vec![(i * 11 % 256) as u8]).collect();
         let expected = functionality.evaluate(&inputs);
         let crs = CommonRandomString::from_label(b"multi-delta");
-        let host = multi_output_host(&params, &functionality, &crs);
-        let parties = multi_output_parties(
-            &params,
-            &functionality,
-            &inputs,
-            crs,
-            host,
-            &BTreeSet::new(),
-        );
+        let parties = multi_output_parties(&params, &functionality, &inputs, crs, &BTreeSet::new());
         let result = Simulator::all_honest(params.n, parties)
             .unwrap()
             .run()
@@ -649,15 +628,7 @@ mod tests {
             .map(|i| (i as u16).to_le_bytes().to_vec())
             .collect();
         let crs = CommonRandomString::from_label(b"multi-cost");
-        let host = multi_output_host(&params, &functionality, &crs);
-        let parties = multi_output_parties(
-            &params,
-            &functionality,
-            &inputs,
-            crs,
-            host,
-            &BTreeSet::new(),
-        );
+        let parties = multi_output_parties(&params, &functionality, &inputs, crs, &BTreeSet::new());
         let result = Simulator::all_honest(params.n, parties)
             .unwrap()
             .run()

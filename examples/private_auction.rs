@@ -9,7 +9,7 @@ use std::collections::BTreeSet;
 
 use mpc_aborts::encfunc::MultiOutputFunctionality;
 use mpc_aborts::net::{CommonRandomString, PartyId, Simulator};
-use mpc_aborts::protocols::multi_output::{multi_output_host, multi_output_parties};
+use mpc_aborts::protocols::multi_output::multi_output_parties;
 use mpc_aborts::protocols::ProtocolParams;
 
 fn main() {
@@ -25,15 +25,7 @@ fn main() {
     let inputs: Vec<Vec<u8>> = bids.iter().map(|b| b.to_le_bytes().to_vec()).collect();
 
     let crs = CommonRandomString::from_label(b"private-auction");
-    let host = multi_output_host(&params, &functionality, &crs);
-    let parties = multi_output_parties(
-        &params,
-        &functionality,
-        &inputs,
-        crs,
-        host,
-        &BTreeSet::new(),
-    );
+    let parties = multi_output_parties(&params, &functionality, &inputs, crs, &BTreeSet::new());
 
     let result = Simulator::all_honest(n, parties)
         .expect("valid configuration")

@@ -151,15 +151,8 @@ fn multi_output_auction_end_to_end() {
     let inputs: Vec<Vec<u8>> = bids.iter().map(|b| b.to_le_bytes().to_vec()).collect();
     let expected = functionality.evaluate(&inputs);
     let crs = CommonRandomString::from_label(b"it-auction");
-    let host = multi_output::multi_output_host(&params, &functionality, &crs);
-    let parties = multi_output::multi_output_parties(
-        &params,
-        &functionality,
-        &inputs,
-        crs,
-        host,
-        &BTreeSet::new(),
-    );
+    let parties =
+        multi_output::multi_output_parties(&params, &functionality, &inputs, crs, &BTreeSet::new());
     let result = Simulator::all_honest(params.n, parties)
         .unwrap()
         .run()
