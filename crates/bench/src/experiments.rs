@@ -1116,10 +1116,21 @@ const PRE_OPT_WALLS_MS: &[(&str, usize, f64)] = &[
     ("unchecked-sum", 256, 28.0),
 ];
 
+/// The `E19` walls `tests/golden/bench_baseline.json` bands. Each is the
+/// best of 3 runs of its session, as `E17` takes best-of walls, so that
+/// one slow run on a shared machine cannot trip its band; the other rows
+/// run once.
+const BANDED_WALLS: [(ProtocolKind, usize); 3] = [
+    (ProtocolKind::Theorem1Mpc, 256),
+    (ProtocolKind::Theorem4Tradeoff, 96),
+    (ProtocolKind::SuccinctAllToAll, 256),
+];
+
 /// `E19-asymptotics` — the asymptotic regime made routine, and the polylog
 /// factors measured instead of extrapolated.
 ///
-/// One honest single-core session per family per grid point, with the grid
+/// One honest single-core session per family per grid point (the
+/// [`BANDED_WALLS`] take the best wall of 3 identical runs), with the grid
 /// reaching `n = 1024` for the `Õ(n²)`-traffic families and `n = 512` for
 /// the `Õ(n³)`-traffic gossip families. Each row reports the theorem's
 /// normalised constants (`bits·h/n²` for Theorem 1, `bits·h/n³` for
@@ -1131,7 +1142,7 @@ const PRE_OPT_WALLS_MS: &[(&str, usize, f64)] = &[
 /// speedup against the `PRE_OPT_WALLS_MS` profile table.
 ///
 /// `MPCA_E19_MAX_N` caps the grid (CI runs the `n ≤ 256` slice and gates
-/// the all-to-all wall against a checked-in baseline); unset, everything
+/// the [`BANDED_WALLS`] against a checked-in baseline); unset, everything
 /// runs.
 pub fn exp_asymptotics() -> Table {
     let max_n: usize = std::env::var("MPCA_E19_MAX_N")
@@ -1142,7 +1153,8 @@ pub fn exp_asymptotics() -> Table {
         "E19-asymptotics",
         "Asymptotic-regime scaling: honest single-core sessions out to n = 1024 (n = 512 for \
          the n³-traffic gossip families), theorem-normalised constants, the fitted polylog \
-         exponent per family, and hot-path speedups vs the pre-optimisation walls.",
+         exponent per family, and hot-path speedups vs the pre-optimisation walls (banded walls: \
+         best of 3 runs).",
         &[
             "family",
             "n",
@@ -1194,12 +1206,27 @@ pub fn exp_asymptotics() -> Table {
         .with_grid([(n, h)])
         .with_seed(7);
         let scenario = plan.scenarios().remove(0);
-        let mut pool = SessionPool::new(Sequential).with_workers(1);
-        pool.submit_task(mpca_scenario::registry::scenario_task(&scenario));
-        let start = std::time::Instant::now();
-        let batch = pool.run().expect("asymptotic-regime session runs");
-        let wall_ms = start.elapsed().as_secs_f64() * 1000.0;
-        let session = batch.sessions.into_iter().next().expect("one session");
+        let runs = if BANDED_WALLS.contains(&(kind, n)) {
+            3
+        } else {
+            1
+        };
+        let mut wall_ms = f64::MAX;
+        let mut reports = Vec::with_capacity(runs);
+        for _ in 0..runs {
+            let mut pool = SessionPool::new(Sequential).with_workers(1);
+            pool.submit_task(mpca_scenario::registry::scenario_task(&scenario));
+            let start = std::time::Instant::now();
+            let batch = pool.run().expect("asymptotic-regime session runs");
+            wall_ms = wall_ms.min(start.elapsed().as_secs_f64() * 1000.0);
+            reports.extend(batch.sessions);
+        }
+        let session = reports.pop().expect("one session");
+        assert!(
+            reports.iter().all(|r| *r == session),
+            "repeated {} runs at n = {n} must be identical",
+            kind.name()
+        );
         assert!(
             !session.any_abort(),
             "honest {} run at n = {n} must not abort",
