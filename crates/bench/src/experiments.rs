@@ -1130,7 +1130,7 @@ const BANDED_WALLS: [(ProtocolKind, usize); 3] = [
 /// factors measured instead of extrapolated.
 ///
 /// One honest single-core session per family per grid point (the
-/// [`BANDED_WALLS`] take the best wall of 3 identical runs), with the grid
+/// `BANDED_WALLS` take the best wall of 3 identical runs), with the grid
 /// reaching `n = 1024` for the `Õ(n²)`-traffic families and `n = 512` for
 /// the `Õ(n³)`-traffic gossip families. Each row reports the theorem's
 /// normalised constants (`bits·h/n²` for Theorem 1, `bits·h/n³` for
@@ -1142,7 +1142,7 @@ const BANDED_WALLS: [(ProtocolKind, usize); 3] = [
 /// speedup against the `PRE_OPT_WALLS_MS` profile table.
 ///
 /// `MPCA_E19_MAX_N` caps the grid (CI runs the `n ≤ 256` slice and gates
-/// the [`BANDED_WALLS`] against a checked-in baseline); unset, everything
+/// the `BANDED_WALLS` against a checked-in baseline); unset, everything
 /// runs.
 pub fn exp_asymptotics() -> Table {
     let max_n: usize = std::env::var("MPCA_E19_MAX_N")

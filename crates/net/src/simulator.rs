@@ -250,11 +250,7 @@ impl RoundDriver for InlineDriver {
 /// round `0` starts with empty inboxes. The execution ends when every honest
 /// party has terminated (output or abort), or errs when `max_rounds` is hit.
 ///
-/// [`Simulator::step_round_with`] is the one stepping entry: it executes a
-/// round's per-party tasks through a [`RoundDriver`] (execution backends in
-/// the `mpca-engine` crate bring their own), and
-/// [`Simulator::into_result`] finishes. [`Simulator::run`] loops it with
-/// the [`InlineDriver`].
+/// See the [module documentation](self) for how an execution is stepped.
 pub struct Simulator<L: PartyLogic> {
     n: usize,
     honest: BTreeMap<PartyId, L>,
