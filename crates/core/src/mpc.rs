@@ -1157,18 +1157,21 @@ mod tests {
         &BTreeSet<PartyId>,
     ) -> Vec<MpcParty>;
 
-    /// Runs `build` at n = 8, h = 4 with party 0 corrupted: it follows the
-    /// protocol, except that its `Keygen` frame carries a three-element
-    /// `b` instead of `pk_rows` elements.
-    fn run_with_short_keygen_frame(build: PartyBuilder) -> RunResult<Vec<u8>> {
-        let params = ProtocolParams::new(8, 4).with_lwe(mpca_crypto::lwe::LweParams {
+    /// Runs `build` at `(n, h)` with party 0 corrupted: it follows the
+    /// protocol, but every envelope it sends goes through `rewrite` first.
+    fn run_with_party_0_rewritten(
+        build: PartyBuilder,
+        (n, h): (usize, usize),
+        label: &[u8],
+        rewrite: impl FnMut(usize, &Envelope) -> Vec<Envelope> + Send + 'static,
+    ) -> RunResult<Vec<u8>> {
+        let params = ProtocolParams::new(n, h).with_lwe(mpca_crypto::lwe::LweParams {
             plaintext_modulus: 1 << 16,
             ..mpca_crypto::lwe::LweParams::toy()
         });
-        assert_ne!(params.lwe.pk_rows, 3);
         let functionality = Functionality::Sum { input_bytes: 2 };
-        let (inputs, _) = sum_inputs(params.n);
-        let crs = CommonRandomString::from_label(b"mpc-short-keygen");
+        let (inputs, _) = sum_inputs(n);
+        let crs = CommonRandomString::from_label(label);
         let corrupted: BTreeSet<PartyId> = [PartyId(0)].into();
         let path = ExecutionPath::Concrete;
         let honest = build(&params, &functionality, path, &inputs, crs, &corrupted);
@@ -1182,18 +1185,25 @@ mod tests {
         )
         .into_iter()
         .filter(|party| corrupted.contains(&party.id));
-        let adversary = ProxyAdversary::new(proxied, params.n, |_, envelope| {
+        let adversary = ProxyAdversary::new(proxied, n, rewrite);
+        Simulator::new(n, honest, Box::new(adversary), SimConfig::default())
+            .unwrap()
+            .run()
+            .unwrap()
+    }
+
+    /// Runs `build` at n = 8, h = 4 with party 0's `Keygen` frame carrying
+    /// a three-element `b` instead of `pk_rows` elements.
+    fn run_with_short_keygen_frame(build: PartyBuilder) -> RunResult<Vec<u8>> {
+        assert_ne!(mpca_crypto::lwe::LweParams::toy().pk_rows, 3);
+        run_with_party_0_rewritten(build, (8, 4), b"mpc-short-keygen", |_, envelope| {
             let mut envelope = envelope.clone();
             if let Ok(MpcMsg::Keygen(mut contribution)) = envelope.decode::<MpcMsg>() {
                 contribution.b.truncate(3);
                 envelope.payload = Payload::encode(&MpcMsg::Keygen(contribution));
             }
             vec![envelope]
-        });
-        Simulator::new(params.n, honest, Box::new(adversary), SimConfig::default())
-            .unwrap()
-            .run()
-            .unwrap()
+        })
     }
 
     fn assert_short_keygen_frame_is_malformed(result: &RunResult<Vec<u8>>) {
@@ -1219,55 +1229,32 @@ mod tests {
         ));
     }
 
-    /// Runs `build` at n = 12, h = 6 with party 0 corrupted: it follows the
-    /// protocol, except that its `Partial` to one other member — the first
-    /// one it addresses — is dropped. Returns the result and that member.
+    /// Runs `build` at n = 12, h = 6 with party 0's `Partial` to one other
+    /// member — the first one it addresses — dropped. Returns the result
+    /// and that member.
     fn run_with_one_partial_withheld(build: PartyBuilder) -> (RunResult<Vec<u8>>, PartyId) {
         use std::sync::atomic::{AtomicUsize, Ordering};
         use std::sync::Arc;
 
-        let params = ProtocolParams::new(12, 6).with_lwe(mpca_crypto::lwe::LweParams {
-            plaintext_modulus: 1 << 16,
-            ..mpca_crypto::lwe::LweParams::toy()
-        });
-        let functionality = Functionality::Sum { input_bytes: 2 };
-        let (inputs, _) = sum_inputs(params.n);
-        let crs = CommonRandomString::from_label(b"mpc-withheld-partial");
-        let corrupted: BTreeSet<PartyId> = [PartyId(0)].into();
-        let path = ExecutionPath::Concrete;
-        let honest = build(&params, &functionality, path, &inputs, crs, &corrupted);
-        let proxied = build(
-            &params,
-            &functionality,
-            path,
-            &inputs,
-            crs,
-            &BTreeSet::new(),
-        )
-        .into_iter()
-        .filter(|party| corrupted.contains(&party.id));
         let victim = Arc::new(AtomicUsize::new(usize::MAX));
         let chosen = Arc::clone(&victim);
-        let adversary = ProxyAdversary::new(proxied, params.n, move |_, envelope| {
-            if let Ok(MpcMsg::Partial(_)) = envelope.decode::<MpcMsg>() {
-                let first = chosen
-                    .compare_exchange(
-                        usize::MAX,
-                        envelope.to.index(),
-                        Ordering::Relaxed,
-                        Ordering::Relaxed,
-                    )
-                    .unwrap_or_else(|current| current);
-                if first == usize::MAX || first == envelope.to.index() {
-                    return Vec::new();
+        let result = run_with_party_0_rewritten(
+            build,
+            (12, 6),
+            b"mpc-withheld-partial",
+            move |_, envelope| {
+                if let Ok(MpcMsg::Partial(_)) = envelope.decode::<MpcMsg>() {
+                    let to = envelope.to.index();
+                    let first = chosen
+                        .compare_exchange(usize::MAX, to, Ordering::Relaxed, Ordering::Relaxed)
+                        .unwrap_or_else(|current| current);
+                    if first == usize::MAX || first == to {
+                        return Vec::new();
+                    }
                 }
-            }
-            vec![envelope.clone()]
-        });
-        let result = Simulator::new(params.n, honest, Box::new(adversary), SimConfig::default())
-            .unwrap()
-            .run()
-            .unwrap();
+                vec![envelope.clone()]
+            },
+        );
         let victim = victim.load(Ordering::Relaxed);
         assert_ne!(victim, usize::MAX, "party 0 sent no partial decryption");
         (result, PartyId(victim))
