@@ -7,15 +7,15 @@ use std::collections::BTreeSet;
 
 use mpca_core::{
     all_to_all, committee, equality, gossip, local_committee, local_mpc, lower_bound, mpc,
-    multi_output, sparse, tradeoff, ExecutionPath, ProtocolKind, ProtocolParams,
+    multi_output, sparse, tradeoff, MpcBuilder, ProtocolKind, ProtocolParams,
 };
 use mpca_crypto::lwe::LweParams;
 use mpca_crypto::Prg;
 use mpca_encfunc::spec::{Functionality, MultiOutputFunctionality};
 use mpca_engine::{Sequential, SessionPool};
 use mpca_net::{
-    CommonRandomString, PartyId, PayloadAllocStats, RunResult, SilentAdversary, SimConfig,
-    Simulator,
+    CommonRandomString, PartyId, PartyLogic, PayloadAllocStats, RunResult, SilentAdversary,
+    SimConfig, Simulator,
 };
 
 use crate::table::Table;
@@ -34,62 +34,35 @@ fn sum_inputs(n: usize) -> (Vec<Vec<u8>>, Vec<u8>) {
     (inputs, total.to_le_bytes().to_vec())
 }
 
-fn run_theorem1(n: usize, h: usize, label: &str) -> RunResult<Vec<u8>> {
-    let params = sum_params(n, h);
-    let functionality = Functionality::Sum { input_bytes: 2 };
-    let (inputs, expected) = sum_inputs(n);
+/// `build`'s honest parties for the sum workload at `(n, h)`, over the CRS
+/// labelled `label`.
+fn sum_parties<L>(build: MpcBuilder<L>, n: usize, h: usize, label: &str) -> Vec<L> {
+    let (inputs, _) = sum_inputs(n);
     let crs = CommonRandomString::from_label(label.as_bytes());
-    let parties = mpc::mpc_parties(
-        &params,
+    let functionality = Functionality::Sum { input_bytes: 2 };
+    build(
+        &sum_params(n, h),
         &functionality,
-        ExecutionPath::Concrete,
         &inputs,
         crs,
         &BTreeSet::new(),
-    );
-    let result = Simulator::all_honest(n, parties).unwrap().run().unwrap();
-    assert_eq!(
-        result.unanimous_output(),
-        Some(&expected),
-        "Theorem 1 run must be correct"
-    );
-    result
+    )
 }
 
-fn run_theorem2(n: usize, h: usize, label: &str) -> RunResult<Vec<u8>> {
-    let params = sum_params(n, h);
-    let functionality = Functionality::Sum { input_bytes: 2 };
-    let (inputs, expected) = sum_inputs(n);
-    let crs = CommonRandomString::from_label(label.as_bytes());
-    let parties =
-        local_mpc::local_mpc_parties(&params, &functionality, &inputs, crs, &BTreeSet::new());
-    let result = Simulator::all_honest(n, parties).unwrap().run().unwrap();
+/// Runs `build`'s honest parties on the sum workload and checks that every
+/// one of them outputs the sum.
+fn run_sum<L>(build: MpcBuilder<L>, n: usize, h: usize, label: &str) -> RunResult<Vec<u8>>
+where
+    L: PartyLogic<Output = Vec<u8>> + Send,
+{
+    let result = Simulator::all_honest(n, sum_parties(build, n, h, label))
+        .unwrap()
+        .run()
+        .unwrap();
     assert_eq!(
         result.unanimous_output(),
-        Some(&expected),
-        "Theorem 2 run must be correct"
-    );
-    result
-}
-
-fn run_theorem4(n: usize, h: usize, label: &str) -> RunResult<Vec<u8>> {
-    let params = sum_params(n, h);
-    let functionality = Functionality::Sum { input_bytes: 2 };
-    let (inputs, expected) = sum_inputs(n);
-    let crs = CommonRandomString::from_label(label.as_bytes());
-    let parties = tradeoff::tradeoff_parties(
-        &params,
-        &functionality,
-        ExecutionPath::Concrete,
-        &inputs,
-        crs,
-        &BTreeSet::new(),
-    );
-    let result = Simulator::all_honest(n, parties).unwrap().run().unwrap();
-    assert_eq!(
-        result.unanimous_output(),
-        Some(&expected),
-        "Theorem 4 run must be correct"
+        Some(&sum_inputs(n).1),
+        "{label} run must be correct"
     );
     result
 }
@@ -110,7 +83,7 @@ pub fn exp_theorem1() -> Table {
         (96, 24),
         (128, 32),
     ] {
-        let result = run_theorem1(n, h, &format!("e1-{n}-{h}"));
+        let result = run_sum(mpc::mpc_parties, n, h, &format!("e1-{n}-{h}"));
         let bits = result.honest_bits();
         let normalised = bits as f64 * h as f64 / (n * n) as f64;
         table.push_row(vec![
@@ -134,7 +107,7 @@ pub fn exp_theorem2() -> Table {
     );
     for (n, h) in [(32, 16), (48, 16), (48, 24), (64, 32), (64, 48), (96, 48)] {
         let params = sum_params(n, h);
-        let result = run_theorem2(n, h, &format!("e2-{n}-{h}"));
+        let result = run_sum(local_mpc::local_mpc_parties, n, h, &format!("e2-{n}-{h}"));
         let bits = result.honest_bits();
         let normalised = bits as f64 * h as f64 / (n * n * n) as f64;
         table.push_row(vec![
@@ -158,7 +131,7 @@ pub fn exp_theorem4() -> Table {
     );
     for (n, h) in [(32, 16), (48, 16), (48, 24), (64, 32), (64, 48)] {
         let params = sum_params(n, h);
-        let result = run_theorem4(n, h, &format!("e3-{n}-{h}"));
+        let result = run_sum(tradeoff::tradeoff_parties, n, h, &format!("e3-{n}-{h}"));
         let bits = result.honest_bits();
         let normalised = bits as f64 * (h as f64).powf(1.5) / (n * n * n) as f64;
         table.push_row(vec![
@@ -479,9 +452,9 @@ pub fn exp_crossover() -> Table {
     );
     let n = 48;
     for h in [12usize, 24, 48] {
-        let r1 = run_theorem1(n, h, &format!("e11-1-{h}"));
-        let r2 = run_theorem2(n, h, &format!("e11-2-{h}"));
-        let r4 = run_theorem4(n, h, &format!("e11-4-{h}"));
+        let r1 = run_sum(mpc::mpc_parties, n, h, &format!("e11-1-{h}"));
+        let r2 = run_sum(local_mpc::local_mpc_parties, n, h, &format!("e11-2-{h}"));
+        let r4 = run_sum(tradeoff::tradeoff_parties, n, h, &format!("e11-4-{h}"));
         table.push_row(vec![
             h.to_string(),
             r1.honest_bits().to_string(),
@@ -520,14 +493,7 @@ pub fn exp_adversary() -> Table {
     // Theorem 1 under a silent adversary.
     let params = sum_params(n, h);
     let crs = CommonRandomString::from_label(b"e12-thm1");
-    let parties = mpc::mpc_parties(
-        &params,
-        &functionality,
-        ExecutionPath::Concrete,
-        &inputs,
-        crs,
-        &corrupted,
-    );
+    let parties = mpc::mpc_parties(&params, &functionality, &inputs, crs, &corrupted);
     let r1 = Simulator::new(
         n,
         parties,
@@ -592,38 +558,26 @@ pub fn exp_engine_sweep() -> Table {
         .iter()
         .flat_map(|&nh| std::iter::repeat_n(nh, 3))
         .collect();
+    /// Submits Theorem `theorem`'s session at `(n, h)`.
+    fn submit<L>(
+        pool: &mut SessionPool<Sequential>,
+        theorem: u8,
+        build: MpcBuilder<L>,
+        n: usize,
+        h: usize,
+    ) where
+        L: PartyLogic + Send + 'static,
+        L::Output: std::fmt::Debug + Send,
+    {
+        pool.submit(format!("thm{theorem}-n{n}-h{h}"), move || {
+            let label = format!("e13-{theorem}-{n}-{h}");
+            Simulator::all_honest(n, sum_parties(build, n, h, &label))
+        });
+    }
     for &(n, h) in &grid {
-        let params = sum_params(n, h);
-        let functionality = Functionality::Sum { input_bytes: 2 };
-        let (inputs, _) = sum_inputs(n);
-
-        let (p, f, i) = (params, functionality.clone(), inputs.clone());
-        pool.submit(format!("thm1-n{n}-h{h}"), move || {
-            let crs = CommonRandomString::from_label(format!("e13-1-{n}-{h}").as_bytes());
-            let parties =
-                mpc::mpc_parties(&p, &f, ExecutionPath::Concrete, &i, crs, &BTreeSet::new());
-            Simulator::all_honest(n, parties)
-        });
-
-        let (p, f, i) = (params, functionality.clone(), inputs.clone());
-        pool.submit(format!("thm2-n{n}-h{h}"), move || {
-            let crs = CommonRandomString::from_label(format!("e13-2-{n}-{h}").as_bytes());
-            let parties = local_mpc::local_mpc_parties(&p, &f, &i, crs, &BTreeSet::new());
-            Simulator::all_honest(n, parties)
-        });
-
-        pool.submit(format!("thm4-n{n}-h{h}"), move || {
-            let crs = CommonRandomString::from_label(format!("e13-4-{n}-{h}").as_bytes());
-            let parties = tradeoff::tradeoff_parties(
-                &params,
-                &functionality,
-                ExecutionPath::Concrete,
-                &inputs,
-                crs,
-                &BTreeSet::new(),
-            );
-            Simulator::all_honest(n, parties)
-        });
+        submit(&mut pool, 1, mpc::mpc_parties, n, h);
+        submit(&mut pool, 2, local_mpc::local_mpc_parties, n, h);
+        submit(&mut pool, 4, tradeoff::tradeoff_parties, n, h);
     }
     let batch = pool.run().expect("engine sweep batch");
     for (session, &(n, h)) in batch.sessions.iter().zip(&session_params) {
@@ -912,8 +866,29 @@ pub fn exp_sweep() -> Table {
     table
 }
 
+/// How many times `E17-trace` and `E18-metrics` run each of their modes.
+const OVERHEAD_RUNS: usize = 7;
+
+/// Runs `run` on each of `modes` back to back, [`OVERHEAD_RUNS`] times over.
+/// Returns each mode's best wall-clock in milliseconds, and the results of
+/// the last pass.
+fn best_walls<M: Copy, T>(modes: &[M], mut run: impl FnMut(M) -> T) -> (Vec<f64>, Vec<T>) {
+    let mut best = vec![f64::MAX; modes.len()];
+    let mut last = Vec::with_capacity(modes.len());
+    for _ in 0..OVERHEAD_RUNS {
+        last.clear();
+        for (wall, &mode) in best.iter_mut().zip(modes) {
+            let start = std::time::Instant::now();
+            let result = run(mode);
+            *wall = wall.min(start.elapsed().as_secs_f64() * 1000.0);
+            last.push(result);
+        }
+    }
+    (best, last)
+}
+
 /// `E17-trace` — trace-recording overhead: the tiny sweep campaign runs
-/// back-to-back untraced, digest-only and traced, best-of-`REPS`
+/// back-to-back untraced, digest-only and traced, best-of-7
 /// wall-clock per mode. Digest-only is what `campaign --sweep` runs: every
 /// event is folded into the session's summary (one SHA-256 digest per
 /// session) and none is stored. Traced retains every stream as zero-copy
@@ -924,7 +899,6 @@ pub fn exp_sweep() -> Table {
 /// events/milestones columns track how much structure the trace plane
 /// captures for that price.
 pub fn exp_trace_overhead() -> Table {
-    const REPS: usize = 7;
     let mut table = Table::new(
         "E17-trace",
         "Trace-recording overhead on the tiny sweep campaign (untraced vs digest-only vs traced \
@@ -947,26 +921,19 @@ pub fn exp_trace_overhead() -> Table {
         ("digest-only", true, false),
         ("traced", true, true),
     ];
-    let mut best = [f64::MAX; 3];
-    let mut reports = Vec::new();
-    for _ in 0..REPS {
-        reports.clear();
-        for (i, (mode, traced, retain)) in modes.into_iter().enumerate() {
-            let start = std::time::Instant::now();
-            let report = campaign
-                .run_configured(Sequential, 1, traced, retain, |_| {})
-                .expect("tiny sweep runs");
-            best[i] = best[i].min(start.elapsed().as_secs_f64() * 1000.0);
-            assert!(report.all_as_expected(), "{mode} sweep must pass");
-            reports.push(report);
-        }
-    }
+    let (best, reports) = best_walls(&modes, |(mode, traced, retain)| {
+        let report = campaign
+            .run_configured(Sequential, 1, traced, retain, |_| {})
+            .expect("tiny sweep runs");
+        assert!(report.all_as_expected(), "{mode} sweep must pass");
+        report
+    });
     assert_eq!(
         reports[1].trace_summaries(),
         reports[2].trace_summaries(),
         "digest-only and retained recordings summarise identically"
     );
-    for ((mode, traced, _), (report, wall)) in modes.into_iter().zip(reports.iter().zip(best)) {
+    for ((mode, traced, _), (report, &wall)) in modes.into_iter().zip(reports.iter().zip(&best)) {
         let summaries = report.trace_summaries();
         assert_eq!(
             summaries.len(),
@@ -997,17 +964,16 @@ pub fn exp_trace_overhead() -> Table {
 /// `E18-metrics` — the metrics plane's price and its payoff. Price: the
 /// tiny sweep campaign runs back-to-back with the registry disabled and
 /// enabled (span timers, phase-wall flushes, payload mirrors, session
-/// histograms all live), best-of-`REPS` wall-clock per mode; the acceptance
+/// histograms all live), best-of-7 wall-clock per mode; the acceptance
 /// target is **< 10 % overhead**, same bar as `E17-trace`. Payoff: one row
 /// per protocol family decomposing its honest-execution communication into
 /// per-phase charged bytes via the phase clock — the cost-attribution view
 /// no aggregate `CommStats` total can give. Each family row also asserts
 /// byte conservation: the six phase cells sum to the session's total.
 pub fn exp_metrics() -> Table {
-    const REPS: usize = 3;
     let mut table = Table::new(
         "E18-metrics",
-        "Metrics-plane overhead on the tiny sweep campaign (registry off vs on, best-of-3 \
+        "Metrics-plane overhead on the tiny sweep campaign (registry off vs on, best-of-7 \
          wall-clock, <10% acceptance target), then the per-phase byte decomposition of every \
          protocol family's honest execution (n = 8, phase clock driven by milestones).",
         &[
@@ -1025,27 +991,21 @@ pub fn exp_metrics() -> Table {
     );
 
     let campaign = mpca_scenario::tiny_sweep_campaign(0);
-    let mut best_off = f64::MAX;
-    let mut best_on = f64::MAX;
-    for _ in 0..REPS {
+    // Every run of either mode must give the first run's verdicts.
+    let mut verdicts: Option<String> = None;
+    let (best, _) = best_walls(&["off", "on"], |mode| {
+        mpca_metrics::set_enabled(mode == "on");
+        let report = campaign.run(Sequential, 1).expect("tiny sweep runs");
         mpca_metrics::set_enabled(false);
-        let start = std::time::Instant::now();
-        let off = campaign.run(Sequential, 1).expect("metrics-off sweep runs");
-        best_off = best_off.min(start.elapsed().as_secs_f64() * 1000.0);
-        assert!(off.all_as_expected(), "metrics-off sweep must pass");
-
-        mpca_metrics::set_enabled(true);
-        let start = std::time::Instant::now();
-        let on = campaign.run(Sequential, 1).expect("metrics-on sweep runs");
-        best_on = best_on.min(start.elapsed().as_secs_f64() * 1000.0);
-        mpca_metrics::set_enabled(false);
-        assert!(on.all_as_expected(), "metrics-on sweep must pass");
+        assert!(report.all_as_expected(), "metrics-{mode} sweep must pass");
+        let digest = report.verdict_digest();
         assert_eq!(
-            off.verdict_digest(),
-            on.verdict_digest(),
+            verdicts.get_or_insert_with(|| digest.clone()),
+            &digest,
             "the metrics plane must not perturb verdicts"
         );
-    }
+    });
+    let (best_off, best_on) = (best[0], best[1]);
     let overhead = (best_on - best_off) / best_off.max(1e-9) * 100.0;
     let blank_phases = |mut row: Vec<String>| -> Vec<String> {
         let tail = row.split_off(1);

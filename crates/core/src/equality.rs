@@ -136,18 +136,16 @@ impl PartyLogic for EqualityParty {
 /// all-to-all, and Algorithm 4's committee).
 ///
 /// Within a group, each unordered pair `{i, j}` runs one instance; the lower
-/// id initiates. The helper tracks which responses are still outstanding and
-/// whether any test (as initiator or responder) has failed. It keeps the
-/// encoded view it built its challenges over, so the respond round checks
-/// incoming challenges against those same bytes without encoding the view
-/// again.
+/// id initiates. The helper tracks whether any test (as initiator or
+/// responder) has failed. It keeps the encoded view it built its challenges
+/// over, so the respond round checks incoming challenges against those same
+/// bytes without encoding the view again.
 #[derive(Debug)]
 pub struct PairwiseEquality {
     my_id: PartyId,
     peers: Vec<PartyId>,
     lambda: u32,
     view: Vec<u8>,
-    awaiting: usize,
     failed: bool,
 }
 
@@ -161,7 +159,6 @@ impl PairwiseEquality {
             peers,
             lambda,
             view: Vec::new(),
-            awaiting: 0,
             failed: false,
         }
     }
@@ -175,27 +172,15 @@ impl PairwiseEquality {
             .collect()
     }
 
-    /// The peers this party expects challenges from (lower ids).
-    pub fn expected_initiators(&self) -> Vec<PartyId> {
-        self.peers
-            .iter()
-            .copied()
-            .filter(|p| *p < self.my_id)
-            .collect()
-    }
-
-    /// Builds the challenges this party must send for its encoded `view`
-    /// and records how many responses it now awaits. The helper keeps
-    /// `view` for [`respond`](Self::respond).
+    /// Builds the challenges this party must send for its encoded `view`.
+    /// The helper keeps `view` for [`respond`](Self::respond).
     pub fn build_challenges(
         &mut self,
         view: Vec<u8>,
         prg: &mut Prg,
     ) -> Vec<(PartyId, EqualityChallenge)> {
-        let targets = self.initiate_targets();
-        self.awaiting = targets.len();
         self.view = view;
-        targets
+        self.initiate_targets()
             .into_iter()
             .map(|peer| (peer, EqualityChallenge::new(prg, self.lambda, &self.view)))
             .collect()
@@ -213,16 +198,14 @@ impl PairwiseEquality {
     }
 
     /// Processes a received response to one of this party's challenges.
+    ///
+    /// Responses are not counted: a missing one needs no abort, because
+    /// only a corrupted peer can withhold it, and that peer could have
+    /// answered `equal` anyway.
     pub fn absorb_response(&mut self, response: &EqualityResponse) {
-        self.awaiting = self.awaiting.saturating_sub(1);
         if !response.equal {
             self.failed = true;
         }
-    }
-
-    /// `true` once every expected response has arrived.
-    pub fn complete(&self) -> bool {
-        self.awaiting == 0
     }
 
     /// `true` if any test failed (in either role).
@@ -283,18 +266,15 @@ mod tests {
         let group: Vec<PartyId> = [1usize, 3, 5, 7].into_iter().map(PartyId).collect();
         let mut helper = PairwiseEquality::new(PartyId(3), group.clone(), 16);
         assert_eq!(helper.initiate_targets(), vec![PartyId(5), PartyId(7)]);
-        assert_eq!(helper.expected_initiators(), vec![PartyId(1)]);
 
         let mut prg = Prg::from_seed_bytes(b"pairwise");
         let view = b"committee view".to_vec();
         let challenges = helper.build_challenges(view, &mut prg);
         assert_eq!(challenges.len(), 2);
-        assert!(!helper.complete());
 
         // Matching responses arrive.
         helper.absorb_response(&EqualityResponse { equal: true });
         helper.absorb_response(&EqualityResponse { equal: true });
-        assert!(helper.complete());
         assert!(!helper.failed());
 
         // A mismatched challenge from a lower-id peer marks failure.
@@ -314,7 +294,6 @@ mod tests {
         let _ = helper.build_challenges(b"view".to_vec(), &mut prg);
         helper.absorb_response(&EqualityResponse { equal: false });
         assert!(helper.failed());
-        assert!(helper.complete());
         helper.mark_failed();
         assert!(helper.failed());
     }

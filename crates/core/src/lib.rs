@@ -23,12 +23,12 @@
 //! | [`unchecked`] | — | verification-free sum (negative control for the scenario oracle) |
 //!
 //! All protocols share [`params::ProtocolParams`] (the `(n, h, λ, α)`
-//! parameters and derived quantities) and the execution-path choice in
-//! [`params::ExecutionPath`]: the *concrete* threshold-LWE path (real
-//! cryptography end-to-end, linear functionalities) or the *hybrid* path
-//! (ideal encrypted functionality plus Theorem 9-sized messages, arbitrary
-//! circuits). See `DESIGN.md` §2 at the repository root for the
-//! substitution rationale.
+//! parameters and derived quantities). The committee protocols realise the
+//! encrypted functionality on the *concrete* threshold-LWE path (real
+//! cryptography end-to-end) when it is a sum whose inputs fit one plaintext
+//! chunk, and on the *hybrid* path (ideal encrypted functionality plus
+//! Theorem 9-sized messages) otherwise; the party builders make that choice.
+//! See `DESIGN.md` §2 at the repository root for the substitution rationale.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,7 +37,6 @@ pub mod all_to_all;
 pub mod broadcast;
 pub mod catalog;
 pub mod committee;
-pub mod crs_cache;
 pub mod equality;
 pub mod frames;
 pub mod gossip;
@@ -53,4 +52,16 @@ pub mod unchecked;
 
 pub use catalog::{BudgetCurve, CalibrationPoint, FamilySpec, ProtocolKind, BUDGET_SLACK};
 pub use frames::FrameSchema;
-pub use params::{ExecutionPath, ProtocolParams};
+pub use params::ProtocolParams;
+
+/// The signature the Theorem 1, 2 and 4 party builders share
+/// ([`mpc::mpc_parties`], [`local_mpc::local_mpc_parties`] and
+/// [`tradeoff::tradeoff_parties`]): the parameters, the functionality, one
+/// input per party, the CRS and the corrupted parties to skip.
+pub type MpcBuilder<L> = fn(
+    &ProtocolParams,
+    &mpca_encfunc::Functionality,
+    &[Vec<u8>],
+    mpca_net::CommonRandomString,
+    &std::collections::BTreeSet<mpca_net::PartyId>,
+) -> Vec<L>;

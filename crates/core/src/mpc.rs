@@ -18,11 +18,12 @@
 //! 7. Every member forwards the output to all parties; a party that sees two
 //!    different outputs aborts.
 //!
-//! Communication (Claim 15): `O(n²·h⁻¹·poly(λ, D, log n))` bits. With the
-//! concrete execution path steps 2 and 6 use real distributed key generation,
-//! homomorphic aggregation and threshold decryption; with the hybrid path the
-//! ideal functionality computes the result while the members exchange
-//! Theorem 9-sized messages.
+//! Communication (Claim 15): `O(n²·h⁻¹·poly(λ, D, log n))` bits. When `f` is
+//! a sum whose inputs fit one plaintext chunk, steps 2 and 6 use real
+//! distributed key generation, homomorphic aggregation and threshold
+//! decryption (the concrete path); otherwise the ideal functionality computes
+//! the result while the members exchange Theorem 9-sized messages (the
+//! hybrid path).
 //!
 //! [`MpcParty`] runs Algorithm 8 ([`crate::tradeoff`]) as well. There the
 //! election is Algorithm 7's local one, each member talks to its cover set
@@ -32,13 +33,14 @@
 //! the rounds after it.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use mpca_crypto::fingerprint::{EqualityChallenge, EqualityResponse};
 use mpca_crypto::lwe::{LweCiphertext, LwePublicKey};
 use mpca_crypto::threshold::{combine_partials, PartialDecryption, ThresholdDecryptor};
 use mpca_crypto::Prg;
 use mpca_encfunc::hybrid::HostFunctionality;
-use mpca_encfunc::keygen::{combine_contributions, KeygenContribution};
+use mpca_encfunc::keygen::{combine_contributions, shared_matrix_from_crs, KeygenContribution};
 use mpca_encfunc::linear;
 use mpca_encfunc::spec::Functionality;
 use mpca_encfunc::{EncFuncHost, SharedHost};
@@ -50,7 +52,7 @@ use mpca_wire::{Decode, Encode, Reader, WireError, Writer};
 use crate::committee::{CommitteeElectParty, CommitteeView};
 use crate::equality::PairwiseEquality;
 use crate::local_committee::LocalCommitteeElectParty;
-use crate::params::{ExecutionPath, ProtocolParams};
+use crate::params::ProtocolParams;
 
 /// Number of rounds the protocol takes (committee election included).
 pub const ROUNDS: usize = crate::committee::ROUNDS + ALGORITHM_3.phases.len();
@@ -303,11 +305,12 @@ pub struct MpcParty {
     id: PartyId,
     params: ProtocolParams,
     functionality: Functionality,
-    path: ExecutionPath,
     input: Vec<u8>,
     prg: Prg,
+    /// The ideal `F[PKE, f]` host on the hybrid path, `None` on the
+    /// concrete threshold-LWE path.
     host: Option<SharedHost>,
-    shared_a: std::sync::Arc<Vec<u64>>,
+    shared_a: Arc<Vec<u64>>,
     algorithm: &'static Algorithm,
     election_rounds: usize,
 
@@ -338,7 +341,6 @@ impl std::fmt::Debug for MpcParty {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MpcParty")
             .field("id", &self.id)
-            .field("path", &self.path)
             .field("is_member", &self.is_member)
             .finish_non_exhaustive()
     }
@@ -400,8 +402,7 @@ impl MpcParty {
     }
 
     /// `F_Comp` on the collected ciphertexts, hybrid path.
-    fn hybrid_compute(&mut self) -> Option<Vec<u8>> {
-        let host = self.host.as_ref()?;
+    fn hybrid_compute(&self, host: &SharedHost) -> Option<Vec<u8>> {
         let cts: Vec<LweCiphertext> = PartyId::all(self.params.n)
             .map(|p| match self.ct_view.get(&p) {
                 Some(bytes) => {
@@ -472,8 +473,8 @@ impl PartyLogic for MpcParty {
         match phase {
             Phase::Keygen => {
                 if self.is_member {
-                    match self.path {
-                        ExecutionPath::Concrete => {
+                    match &self.host {
+                        None => {
                             let (contribution, decryptor) = KeygenContribution::generate(
                                 &self.params.lwe,
                                 &self.shared_a,
@@ -484,8 +485,7 @@ impl PartyLogic for MpcParty {
                             self.decryptor = Some(decryptor);
                             ctx.send_to_all(self.other_members(), &MpcMsg::Keygen(contribution));
                         }
-                        ExecutionPath::Hybrid => {
-                            let host = self.host.as_ref().expect("hybrid host");
+                        Some(host) => {
                             let mut r = [0u8; 32];
                             rand::RngCore::fill_bytes(&mut self.prg, &mut r);
                             {
@@ -539,8 +539,8 @@ impl PartyLogic for MpcParty {
                             Err(e) => return Step::Abort(AbortReason::Malformed(e.to_string())),
                         }
                     }
-                    let pk_b = match self.path {
-                        ExecutionPath::Concrete => {
+                    let pk_b = match &self.host {
+                        None => {
                             let pk = combine_contributions(
                                 &self.params.lwe,
                                 &self.shared_a,
@@ -548,8 +548,7 @@ impl PartyLogic for MpcParty {
                             );
                             pk.b
                         }
-                        ExecutionPath::Hybrid => {
-                            let host = self.host.as_ref().expect("hybrid host");
+                        Some(host) => {
                             let pk = host
                                 .lock()
                                 .expect("encfunc host lock poisoned")
@@ -612,15 +611,15 @@ impl PartyLogic for MpcParty {
                     ));
                 };
                 self.pk_b = Some(pk_b);
-                let ct = match self.path {
-                    ExecutionPath::Concrete => linear::encrypt_concrete_input(
+                let ct = match self.host {
+                    None => linear::encrypt_concrete_input(
                         &pk,
                         &mut self.prg,
                         &self.functionality,
                         &self.input,
                     )
                     .expect("validated at construction"),
-                    ExecutionPath::Hybrid => pk.encrypt_bytes(&mut self.prg, &self.input),
+                    Some(_) => pk.encrypt_bytes(&mut self.prg, &self.input),
                 };
                 let recipients: Vec<PartyId> = if self.algorithm.covers {
                     // A member keeps its own ciphertext and sends it to the
@@ -769,8 +768,8 @@ impl PartyLogic for MpcParty {
                             "ciphertext views are inconsistent".into(),
                         ));
                     }
-                    match self.path {
-                        ExecutionPath::Concrete => {
+                    match self.host {
+                        None => {
                             let Some(aggregate) = self.concrete_aggregate() else {
                                 return Step::Abort(AbortReason::MissingMessage(
                                     "no valid ciphertexts to aggregate".into(),
@@ -782,7 +781,7 @@ impl PartyLogic for MpcParty {
                             self.aggregate = Some(aggregate);
                             ctx.send_to_all(self.other_members(), &MpcMsg::Partial(partial));
                         }
-                        ExecutionPath::Hybrid => {
+                        Some(_) => {
                             let cost = self.params.cost_model(self.functionality.depth());
                             let output_bits =
                                 8 * self.functionality.output_bytes(self.params.n).max(1);
@@ -796,8 +795,8 @@ impl PartyLogic for MpcParty {
             }
             Phase::ForwardOutput => {
                 if self.is_member {
-                    let output = match self.path {
-                        ExecutionPath::Concrete => {
+                    let output = match &self.host {
+                        None => {
                             for envelope in incoming {
                                 if !self.committee.contains(&envelope.from) {
                                     return Step::Abort(AbortReason::OverReceipt(
@@ -855,7 +854,7 @@ impl PartyLogic for MpcParty {
                             };
                             linear::output_from_chunk(&self.functionality, chunks[0])
                         }
-                        ExecutionPath::Hybrid => match self.hybrid_compute() {
+                        Some(host) => match self.hybrid_compute(host) {
                             Some(out) => out,
                             None => {
                                 return Step::Abort(AbortReason::CryptoFailure(
@@ -907,63 +906,50 @@ impl PartyLogic for MpcParty {
 /// Builds the honest parties of an Algorithm 3 execution.
 ///
 /// The per-party inputs are `inputs[i]`; parties whose id is in `corrupted`
-/// are skipped. On [`ExecutionPath::Hybrid`] the parties share one
-/// ideal-functionality host over the execution's own LWE matrix.
+/// are skipped. The committee realises `F[PKE, f]` with threshold LWE when
+/// `functionality` is a sum whose inputs fit one plaintext chunk
+/// ([`linear::supports_concrete_path`]), and otherwise through one
+/// ideal-functionality host the parties share. Both run over the
+/// execution's own CRS-derived LWE matrix.
+///
+/// # Panics
+///
+/// Panics on an inconsistent configuration (wrong input count or width).
 pub fn mpc_parties(
     params: &ProtocolParams,
     functionality: &Functionality,
-    path: ExecutionPath,
     inputs: &[Vec<u8>],
     crs: CommonRandomString,
     corrupted: &BTreeSet<PartyId>,
 ) -> Vec<MpcParty> {
-    committee_parties(
-        &ALGORITHM_3,
-        params,
-        functionality,
-        path,
-        inputs,
-        crs,
-        corrupted,
-    )
+    committee_parties(&ALGORITHM_3, params, functionality, inputs, crs, corrupted)
 }
 
 /// Builds the honest parties of one execution of `algorithm`; see
 /// [`mpc_parties`].
-///
-/// # Panics
-///
-/// Panics on an inconsistent configuration (wrong input count or width,
-/// unsupported concrete functionality).
 pub(crate) fn committee_parties(
     algorithm: &'static Algorithm,
     params: &ProtocolParams,
     functionality: &Functionality,
-    path: ExecutionPath,
     inputs: &[Vec<u8>],
     crs: CommonRandomString,
     corrupted: &BTreeSet<PartyId>,
 ) -> Vec<MpcParty> {
     params.validate();
     assert_eq!(inputs.len(), params.n, "one input per party required");
-    let shared_a = crate::crs_cache::shared_matrix(&params.lwe, &crs, algorithm.matrix_label);
-    let host = match path {
-        ExecutionPath::Concrete => {
-            assert!(
-                linear::supports_concrete_path(&params.lwe, functionality),
-                "functionality does not support the concrete threshold-LWE path"
-            );
-            None
-        }
-        ExecutionPath::Hybrid => {
-            let host = EncFuncHost::new(
-                params.lwe,
-                HostFunctionality::Single(functionality.clone()),
-                1,
-            );
-            Some(host.with_shared_matrix(shared_a.as_ref().clone()).shared())
-        }
-    };
+    let shared_a = Arc::new(shared_matrix_from_crs(
+        &params.lwe,
+        &mut crs.shared_prg(algorithm.matrix_label),
+    ));
+    let host = (!linear::supports_concrete_path(&params.lwe, functionality)).then(|| {
+        EncFuncHost::new(
+            params.lwe,
+            HostFunctionality::Single(functionality.clone()),
+            1,
+        )
+        .with_shared_matrix(shared_a.as_ref().clone())
+        .shared()
+    });
     PartyId::all(params.n)
         .filter(|id| !corrupted.contains(id))
         .map(|id| {
@@ -977,11 +963,10 @@ pub(crate) fn committee_parties(
                 id,
                 params: *params,
                 functionality: functionality.clone(),
-                path,
                 input,
                 prg: crs.party_prg(id, algorithm.party_label),
                 host: host.clone(),
-                shared_a: std::sync::Arc::clone(&shared_a),
+                shared_a: Arc::clone(&shared_a),
                 algorithm,
                 election_rounds: algorithm.election_rounds(params),
                 elect: Some(algorithm.election(id, *params, crs)),
@@ -1026,14 +1011,7 @@ mod tests {
         let functionality = Functionality::Sum { input_bytes: 2 };
         let (inputs, expected) = sum_inputs(params.n);
         let crs = CommonRandomString::from_label(b"mpc-concrete");
-        let parties = mpc_parties(
-            &params,
-            &functionality,
-            ExecutionPath::Concrete,
-            &inputs,
-            crs,
-            &BTreeSet::new(),
-        );
+        let parties = mpc_parties(&params, &functionality, &inputs, crs, &BTreeSet::new());
         let result = Simulator::all_honest(params.n, parties)
             .unwrap()
             .run()
@@ -1052,14 +1030,7 @@ mod tests {
             .collect();
         let expected = functionality.evaluate(&inputs);
         let crs = CommonRandomString::from_label(b"mpc-hybrid");
-        let parties = mpc_parties(
-            &params,
-            &functionality,
-            ExecutionPath::Hybrid,
-            &inputs,
-            crs,
-            &BTreeSet::new(),
-        );
+        let parties = mpc_parties(&params, &functionality, &inputs, crs, &BTreeSet::new());
         let result = Simulator::all_honest(params.n, parties)
             .unwrap()
             .run()
@@ -1087,14 +1058,7 @@ mod tests {
                 acc.wrapping_add(u16::from_le_bytes([v[0], v[1]]))
             });
         let crs = CommonRandomString::from_label(b"mpc-silent");
-        let parties = mpc_parties(
-            &params,
-            &functionality,
-            ExecutionPath::Concrete,
-            &inputs,
-            crs,
-            &corrupted,
-        );
+        let parties = mpc_parties(&params, &functionality, &inputs, crs, &corrupted);
         let result = Simulator::new(
             params.n,
             parties,
@@ -1124,14 +1088,7 @@ mod tests {
             });
             let (inputs, expected) = sum_inputs(params.n);
             let crs = CommonRandomString::from_label(b"mpc-comm-scaling");
-            let parties = mpc_parties(
-                &params,
-                &functionality,
-                ExecutionPath::Concrete,
-                &inputs,
-                crs,
-                &BTreeSet::new(),
-            );
+            let parties = mpc_parties(&params, &functionality, &inputs, crs, &BTreeSet::new());
             let result = Simulator::all_honest(params.n, parties)
                 .unwrap()
                 .run()
@@ -1148,14 +1105,7 @@ mod tests {
     }
 
     /// [`mpc_parties`] or [`crate::tradeoff::tradeoff_parties`].
-    type PartyBuilder = fn(
-        &ProtocolParams,
-        &Functionality,
-        ExecutionPath,
-        &[Vec<u8>],
-        CommonRandomString,
-        &BTreeSet<PartyId>,
-    ) -> Vec<MpcParty>;
+    type PartyBuilder = crate::MpcBuilder<MpcParty>;
 
     /// Runs `build` at `(n, h)` with party 0 corrupted: it follows the
     /// protocol, but every envelope it sends goes through `rewrite` first.
@@ -1173,18 +1123,10 @@ mod tests {
         let (inputs, _) = sum_inputs(n);
         let crs = CommonRandomString::from_label(label);
         let corrupted: BTreeSet<PartyId> = [PartyId(0)].into();
-        let path = ExecutionPath::Concrete;
-        let honest = build(&params, &functionality, path, &inputs, crs, &corrupted);
-        let proxied = build(
-            &params,
-            &functionality,
-            path,
-            &inputs,
-            crs,
-            &BTreeSet::new(),
-        )
-        .into_iter()
-        .filter(|party| corrupted.contains(&party.id));
+        let honest = build(&params, &functionality, &inputs, crs, &corrupted);
+        let proxied = build(&params, &functionality, &inputs, crs, &BTreeSet::new())
+            .into_iter()
+            .filter(|party| corrupted.contains(&party.id));
         let adversary = ProxyAdversary::new(proxied, n, rewrite);
         Simulator::new(n, honest, Box::new(adversary), SimConfig::default())
             .unwrap()

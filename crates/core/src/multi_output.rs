@@ -15,14 +15,17 @@
 //! is real authenticated symmetric encryption.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use mpca_crypto::lwe::LweCiphertext;
 use mpca_crypto::merkle_sig::MerkleSigPublicKey;
 use mpca_crypto::ske::SymmetricKey;
 use mpca_crypto::Prg;
+use mpca_encfunc::hybrid::HostFunctionality;
+use mpca_encfunc::keygen::shared_matrix_from_crs;
 use mpca_encfunc::signing::SignedOutput;
 use mpca_encfunc::spec::MultiOutputFunctionality;
-use mpca_encfunc::SharedHost;
+use mpca_encfunc::{EncFuncHost, SharedHost};
 use mpca_net::{
     AbortReason, CommonRandomString, Envelope, PartyCtx, PartyId, PartyLogic, Payload, Step,
 };
@@ -131,7 +134,7 @@ pub struct MultiOutputParty {
     input: Vec<u8>,
     prg: Prg,
     host: SharedHost,
-    shared_a: std::sync::Arc<Vec<u64>>,
+    shared_a: Arc<Vec<u64>>,
 
     elect: Option<CommitteeElectParty>,
     committee: BTreeSet<PartyId>,
@@ -152,8 +155,8 @@ impl std::fmt::Debug for MultiOutputParty {
 }
 
 impl MultiOutputParty {
-    /// Creates a party. All parties of one execution share the same host,
-    /// which [`multi_output_parties`] builds.
+    /// Creates a party. All parties of one execution share the same host
+    /// and LWE matrix, which [`multi_output_parties`] builds.
     ///
     /// # Panics
     ///
@@ -165,6 +168,7 @@ impl MultiOutputParty {
         input: Vec<u8>,
         crs: CommonRandomString,
         host: SharedHost,
+        shared_a: Arc<Vec<u64>>,
     ) -> Self {
         params.validate();
         assert_eq!(
@@ -172,7 +176,6 @@ impl MultiOutputParty {
             functionality.input_bytes(),
             "input width does not match the functionality"
         );
-        let shared_a = crate::crs_cache::shared_matrix(&params.lwe, &crs, b"multi-lwe-matrix");
         Self {
             id,
             params,
@@ -547,15 +550,16 @@ pub fn multi_output_parties(
     corrupted: &BTreeSet<PartyId>,
 ) -> Vec<MultiOutputParty> {
     assert_eq!(inputs.len(), params.n, "one input per party required");
-    let shared_a = crate::crs_cache::shared_matrix(&params.lwe, &crs, b"multi-lwe-matrix")
-        .as_ref()
-        .clone();
-    let host = mpca_encfunc::EncFuncHost::new(
+    let shared_a = Arc::new(shared_matrix_from_crs(
+        &params.lwe,
+        &mut crs.shared_prg(b"multi-lwe-matrix"),
+    ));
+    let host = EncFuncHost::new(
         params.lwe,
-        mpca_encfunc::hybrid::HostFunctionality::Multi(functionality.clone()),
+        HostFunctionality::Multi(functionality.clone()),
         1,
     )
-    .with_shared_matrix(shared_a)
+    .with_shared_matrix(shared_a.as_ref().clone())
     .shared();
     PartyId::all(params.n)
         .filter(|id| !corrupted.contains(id))
@@ -567,6 +571,7 @@ pub fn multi_output_parties(
                 inputs[id.index()].clone(),
                 crs,
                 host.clone(),
+                Arc::clone(&shared_a),
             )
         })
         .collect()

@@ -3,19 +3,6 @@
 use mpca_crypto::lwe::LweParams;
 use mpca_encfunc::Theorem9CostModel;
 
-/// How the encrypted functionality is realised inside the committee.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecutionPath {
-    /// Concrete threshold-LWE: distributed key generation, real Regev
-    /// ciphertexts, homomorphic aggregation, threshold decryption. Available
-    /// for linear functionalities whose inputs fit one plaintext chunk.
-    Concrete,
-    /// Hybrid model: the ideal functionality `F[PKE, f]` computes the result
-    /// while committee members exchange Theorem 9-sized messages to account
-    /// for the cost of realising it. Available for every functionality.
-    Hybrid,
-}
-
 /// The `(n, h, λ, α)` parameters shared by every protocol in this crate,
 /// plus the LWE parameter set used for encryption.
 #[derive(Debug, Clone, Copy, PartialEq)]

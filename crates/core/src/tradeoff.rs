@@ -24,7 +24,7 @@ use mpca_encfunc::spec::Functionality;
 use mpca_net::{CommonRandomString, PartyId};
 
 use crate::mpc::{committee_parties, MpcParty, ALGORITHM_8};
-use crate::params::{ExecutionPath, ProtocolParams};
+use crate::params::ProtocolParams;
 
 /// One party of the Algorithm 8 protocol.
 pub type TradeoffParty = MpcParty;
@@ -39,20 +39,11 @@ pub fn rounds(params: &ProtocolParams) -> usize {
 pub fn tradeoff_parties(
     params: &ProtocolParams,
     functionality: &Functionality,
-    path: ExecutionPath,
     inputs: &[Vec<u8>],
     crs: CommonRandomString,
     corrupted: &BTreeSet<PartyId>,
 ) -> Vec<TradeoffParty> {
-    committee_parties(
-        &ALGORITHM_8,
-        params,
-        functionality,
-        path,
-        inputs,
-        crs,
-        corrupted,
-    )
+    committee_parties(&ALGORITHM_8, params, functionality, inputs, crs, corrupted)
 }
 
 #[cfg(test)]
@@ -71,14 +62,7 @@ mod tests {
         let inputs: Vec<Vec<u8>> = values.iter().map(|v| v.to_le_bytes().to_vec()).collect();
         let expected: u16 = values.iter().fold(0u16, |acc, v| acc.wrapping_add(*v));
         let crs = CommonRandomString::from_label(b"tradeoff-concrete");
-        let parties = tradeoff_parties(
-            &params,
-            &functionality,
-            ExecutionPath::Concrete,
-            &inputs,
-            crs,
-            &BTreeSet::new(),
-        );
+        let parties = tradeoff_parties(&params, &functionality, &inputs, crs, &BTreeSet::new());
         let result = Simulator::all_honest(params.n, parties)
             .unwrap()
             .run()
@@ -101,14 +85,7 @@ mod tests {
         let inputs: Vec<Vec<u8>> = (0..params.n).map(|i| vec![(i * 29) as u8]).collect();
         let expected = functionality.evaluate(&inputs);
         let crs = CommonRandomString::from_label(b"tradeoff-hybrid");
-        let parties = tradeoff_parties(
-            &params,
-            &functionality,
-            ExecutionPath::Hybrid,
-            &inputs,
-            crs,
-            &BTreeSet::new(),
-        );
+        let parties = tradeoff_parties(&params, &functionality, &inputs, crs, &BTreeSet::new());
         let result = Simulator::all_honest(params.n, parties)
             .unwrap()
             .run()
@@ -130,14 +107,7 @@ mod tests {
             .map(|i| (i as u16).to_le_bytes().to_vec())
             .collect();
         let crs = CommonRandomString::from_label(b"tradeoff-locality");
-        let parties = tradeoff_parties(
-            &params,
-            &functionality,
-            ExecutionPath::Concrete,
-            &inputs,
-            crs,
-            &BTreeSet::new(),
-        );
+        let parties = tradeoff_parties(&params, &functionality, &inputs, crs, &BTreeSet::new());
         let result = Simulator::all_honest(params.n, parties)
             .unwrap()
             .run()

@@ -11,13 +11,12 @@
 //!
 //! | Module | Primitive | Used by |
 //! |---|---|---|
-//! | [`mod@sha256`] | SHA-256 | commitments, signatures, key derivation |
+//! | [`mod@sha256`] | SHA-256 | HMAC, signatures, CRS and key derivation, trace digests |
 //! | [`hmac`] | HMAC-SHA-256 | authenticated symmetric encryption |
 //! | [`chacha20`] | ChaCha20 stream cipher | PRG, symmetric encryption |
 //! | [`prg`] | seedable deterministic PRG | all protocol randomness, CRS |
 //! | [`primes`] | Miller–Rabin, random primes | Lemma 5 equality fingerprints |
 //! | [`mod@fingerprint`] | string fingerprint mod a random prime | Algorithm 1 (`Equality_λ`) |
-//! | [`commit`] | hash commitments | committee transcripts |
 //! | [`lamport`] | Lamport one-time signatures | [`merkle_sig`] |
 //! | [`merkle`] | Merkle trees | [`merkle_sig`] |
 //! | [`merkle_sig`] | many-time hash-based signatures | multi-output MPC (Algorithm 4) |
@@ -41,7 +40,6 @@
 #![warn(missing_docs)]
 
 pub mod chacha20;
-pub mod commit;
 pub mod fingerprint;
 pub mod hmac;
 pub mod lamport;
@@ -56,7 +54,6 @@ pub mod ske;
 pub mod threshold;
 
 pub use chacha20::ChaCha20;
-pub use commit::{Commitment, Opening};
 pub use fingerprint::{fingerprint, EqualityChallenge, EqualityResponse};
 pub use hmac::hmac_sha256;
 pub use lamport::{LamportKeyPair, LamportPublicKey, LamportSignature};

@@ -13,7 +13,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use mpca_core::{
-    all_to_all, broadcast, local_mpc, mpc, tradeoff, unchecked, ExecutionPath, FrameSchema,
+    all_to_all, broadcast, local_mpc, mpc, tradeoff, unchecked, FrameSchema, MpcBuilder,
     ProtocolKind,
 };
 use mpca_encfunc::Functionality;
@@ -69,53 +69,9 @@ fn crs_label(scenario: &Scenario) -> Vec<u8> {
 pub fn scenario_task<B: ExecutionBackend>(scenario: &Scenario) -> SessionTask<B> {
     let sc = scenario.clone();
     match scenario.kind {
-        ProtocolKind::Theorem1Mpc => SessionTask::new(sc.label.clone(), move || {
-            let params = sc.params();
-            let inputs = sum_inputs(sc.n, sc.seed);
-            let crs = CommonRandomString::from_label(&crs_label(&sc));
-            let parties = mpc::mpc_parties(
-                &params,
-                &Functionality::Sum {
-                    input_bytes: SUM_INPUT_BYTES,
-                },
-                ExecutionPath::Concrete,
-                &inputs,
-                crs,
-                &skip_construction(&sc),
-            );
-            finish(&sc, parties)
-        }),
-        ProtocolKind::Theorem2LocalMpc => SessionTask::new(sc.label.clone(), move || {
-            let params = sc.params();
-            let inputs = sum_inputs(sc.n, sc.seed);
-            let crs = CommonRandomString::from_label(&crs_label(&sc));
-            let parties = local_mpc::local_mpc_parties(
-                &params,
-                &Functionality::Sum {
-                    input_bytes: SUM_INPUT_BYTES,
-                },
-                &inputs,
-                crs,
-                &skip_construction(&sc),
-            );
-            finish(&sc, parties)
-        }),
-        ProtocolKind::Theorem4Tradeoff => SessionTask::new(sc.label.clone(), move || {
-            let params = sc.params();
-            let inputs = sum_inputs(sc.n, sc.seed);
-            let crs = CommonRandomString::from_label(&crs_label(&sc));
-            let parties = tradeoff::tradeoff_parties(
-                &params,
-                &Functionality::Sum {
-                    input_bytes: SUM_INPUT_BYTES,
-                },
-                ExecutionPath::Concrete,
-                &inputs,
-                crs,
-                &skip_construction(&sc),
-            );
-            finish(&sc, parties)
-        }),
+        ProtocolKind::Theorem1Mpc => mpc_task(sc, mpc::mpc_parties),
+        ProtocolKind::Theorem2LocalMpc => mpc_task(sc, local_mpc::local_mpc_parties),
+        ProtocolKind::Theorem4Tradeoff => mpc_task(sc, tradeoff::tradeoff_parties),
         ProtocolKind::Broadcast => SessionTask::new(sc.label.clone(), move || {
             let message = vec![0xB7u8 ^ sc.seed as u8; SCENARIO_MESSAGE_BYTES];
             let parties = broadcast::broadcast_parties(
@@ -142,6 +98,27 @@ pub fn scenario_task<B: ExecutionBackend>(scenario: &Scenario) -> SessionTask<B>
             finish(&sc, parties)
         }),
     }
+}
+
+/// A task that sums the MPC workload's inputs with `build`'s parties.
+fn mpc_task<B, L>(sc: Scenario, build: MpcBuilder<L>) -> SessionTask<B>
+where
+    B: ExecutionBackend,
+    L: PartyLogic + Send + 'static,
+    L::Output: std::fmt::Debug + Send,
+{
+    SessionTask::new(sc.label.clone(), move || {
+        let parties = build(
+            &sc.params(),
+            &Functionality::Sum {
+                input_bytes: SUM_INPUT_BYTES,
+            },
+            &sum_inputs(sc.n, sc.seed),
+            CommonRandomString::from_label(&crs_label(&sc)),
+            &skip_construction(&sc),
+        );
+        finish(&sc, parties)
+    })
 }
 
 impl Scenario {

@@ -15,7 +15,7 @@ use std::collections::BTreeSet;
 use mpc_aborts::crypto::lwe::LweParams;
 use mpc_aborts::encfunc::Functionality;
 use mpc_aborts::net::{CommonRandomString, Simulator};
-use mpc_aborts::protocols::{local_mpc, mpc, tradeoff, ExecutionPath, ProtocolParams};
+use mpc_aborts::protocols::{local_mpc, mpc, tradeoff, ProtocolParams};
 
 fn main() {
     let n = 48;
@@ -34,14 +34,7 @@ fn main() {
 
     // Theorem 1: committee MPC.
     let crs = CommonRandomString::from_label(b"vote-theorem-1");
-    let parties = mpc::mpc_parties(
-        &params,
-        &functionality,
-        ExecutionPath::Concrete,
-        &inputs,
-        crs,
-        &BTreeSet::new(),
-    );
+    let parties = mpc::mpc_parties(&params, &functionality, &inputs, crs, &BTreeSet::new());
     let r1 = Simulator::all_honest(n, parties).unwrap().run().unwrap();
     report("Theorem 1 (committee MPC)", &r1, expected);
 
@@ -54,14 +47,8 @@ fn main() {
 
     // Theorem 4: the tradeoff protocol.
     let crs = CommonRandomString::from_label(b"vote-theorem-4");
-    let parties = tradeoff::tradeoff_parties(
-        &params,
-        &functionality,
-        ExecutionPath::Concrete,
-        &inputs,
-        crs,
-        &BTreeSet::new(),
-    );
+    let parties =
+        tradeoff::tradeoff_parties(&params, &functionality, &inputs, crs, &BTreeSet::new());
     let r4 = Simulator::all_honest(n, parties).unwrap().run().unwrap();
     report("Theorem 4 (tradeoff protocol)", &r4, expected);
 }

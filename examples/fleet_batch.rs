@@ -12,7 +12,7 @@ use mpc_aborts::crypto::lwe::LweParams;
 use mpc_aborts::encfunc::Functionality;
 use mpc_aborts::engine::{ExecutionBackend, Parallel, Sequential, SessionPool};
 use mpc_aborts::net::{CommonRandomString, PartyId, Simulator};
-use mpc_aborts::protocols::{broadcast, local_mpc, mpc, ExecutionPath, ProtocolParams};
+use mpc_aborts::protocols::{broadcast, local_mpc, mpc, ProtocolParams};
 
 fn sum_params(n: usize, h: usize) -> ProtocolParams {
     ProtocolParams::new(n, h).with_lwe(LweParams {
@@ -32,14 +32,7 @@ fn submit_fleet<B: ExecutionBackend>(pool: &mut SessionPool<B>) {
         let (f, i) = (functionality.clone(), inputs.clone());
         pool.submit(format!("thm1-sum-n{n}-h{h}"), move || {
             let crs = CommonRandomString::from_label(format!("fleet-1-{n}").as_bytes());
-            let parties = mpc::mpc_parties(
-                &params,
-                &f,
-                ExecutionPath::Concrete,
-                &i,
-                crs,
-                &BTreeSet::new(),
-            );
+            let parties = mpc::mpc_parties(&params, &f, &i, crs, &BTreeSet::new());
             Simulator::all_honest(n, parties)
         });
 

@@ -10,7 +10,7 @@ use mpc_aborts::crypto::lwe::LweParams;
 use mpc_aborts::encfunc::Functionality;
 use mpc_aborts::net::{CommonRandomString, Simulator};
 use mpc_aborts::protocols::mpc::{mpc_parties, ROUNDS};
-use mpc_aborts::protocols::{ExecutionPath, ProtocolParams};
+use mpc_aborts::protocols::ProtocolParams;
 
 fn main() {
     let n = 32;
@@ -26,14 +26,7 @@ fn main() {
     let inputs: Vec<Vec<u8>> = salaries.iter().map(|s| s.to_le_bytes().to_vec()).collect();
 
     let crs = CommonRandomString::from_label(b"quickstart-example");
-    let parties = mpc_parties(
-        &params,
-        &functionality,
-        ExecutionPath::Concrete,
-        &inputs,
-        crs,
-        &BTreeSet::new(),
-    );
+    let parties = mpc_parties(&params, &functionality, &inputs, crs, &BTreeSet::new());
 
     let result = Simulator::all_honest(n, parties)
         .expect("valid configuration")

@@ -51,7 +51,7 @@
 //! ```
 //! use mpc_aborts::net::{CommonRandomString, Simulator};
 //! use mpc_aborts::encfunc::Functionality;
-//! use mpc_aborts::protocols::{mpc, ExecutionPath, ProtocolParams};
+//! use mpc_aborts::protocols::{mpc, ProtocolParams};
 //! use std::collections::BTreeSet;
 //!
 //! // 16 parties, at least 8 honest, privately sum their 2-byte inputs.
@@ -64,9 +64,7 @@
 //! let functionality = Functionality::Sum { input_bytes: 2 };
 //! let inputs: Vec<Vec<u8>> = (0..16u16).map(|i| (i * 10).to_le_bytes().to_vec()).collect();
 //! let crs = CommonRandomString::from_label(b"quickstart");
-//! let parties = mpc::mpc_parties(
-//!     &params, &functionality, ExecutionPath::Concrete, &inputs, crs, &BTreeSet::new(),
-//! );
+//! let parties = mpc::mpc_parties(&params, &functionality, &inputs, crs, &BTreeSet::new());
 //! let result = Simulator::all_honest(params.n, parties).unwrap().run().unwrap();
 //! let sum = u16::from_le_bytes(result.unanimous_output().unwrap()[..2].try_into().unwrap());
 //! assert_eq!(sum, (0..16u16).map(|i| i * 10).sum());

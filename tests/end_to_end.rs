@@ -7,7 +7,7 @@ use mpc_aborts::crypto::lwe::LweParams;
 use mpc_aborts::encfunc::{Functionality, MultiOutputFunctionality};
 use mpc_aborts::net::{CommonRandomString, PartyId, SilentAdversary, SimConfig, Simulator};
 use mpc_aborts::protocols::{
-    all_to_all, local_mpc, lower_bound, mpc, multi_output, tradeoff, ExecutionPath, ProtocolParams,
+    all_to_all, local_mpc, lower_bound, mpc, multi_output, tradeoff, MpcBuilder, ProtocolParams,
 };
 
 fn sum_params(n: usize, h: usize) -> ProtocolParams {
@@ -32,14 +32,7 @@ fn theorem_1_2_and_4_agree_on_the_same_workload() {
 
     // Theorem 1.
     let crs = CommonRandomString::from_label(b"it-thm1");
-    let parties = mpc::mpc_parties(
-        &params,
-        &functionality,
-        ExecutionPath::Concrete,
-        &inputs,
-        crs,
-        &BTreeSet::new(),
-    );
+    let parties = mpc::mpc_parties(&params, &functionality, &inputs, crs, &BTreeSet::new());
     let r1 = Simulator::all_honest(params.n, parties)
         .unwrap()
         .run()
@@ -58,14 +51,8 @@ fn theorem_1_2_and_4_agree_on_the_same_workload() {
 
     // Theorem 4.
     let crs = CommonRandomString::from_label(b"it-thm4");
-    let parties = tradeoff::tradeoff_parties(
-        &params,
-        &functionality,
-        ExecutionPath::Concrete,
-        &inputs,
-        crs,
-        &BTreeSet::new(),
-    );
+    let parties =
+        tradeoff::tradeoff_parties(&params, &functionality, &inputs, crs, &BTreeSet::new());
     let r4 = Simulator::all_honest(params.n, parties)
         .unwrap()
         .run()
@@ -95,14 +82,7 @@ fn committee_protocol_with_silent_adversary_is_correct_with_abort() {
             a.wrapping_add(u16::from_le_bytes([v[0], v[1]]))
         });
     let crs = CommonRandomString::from_label(b"it-silent");
-    let parties = mpc::mpc_parties(
-        &params,
-        &functionality,
-        ExecutionPath::Concrete,
-        &inputs,
-        crs,
-        &corrupted,
-    );
+    let parties = mpc::mpc_parties(&params, &functionality, &inputs, crs, &corrupted);
     let result = Simulator::new(
         params.n,
         parties,
@@ -120,27 +100,38 @@ fn hybrid_path_supports_general_circuits() {
     use mpc_aborts::circuits::library;
     let params = ProtocolParams::new(12, 6);
     // Majority vote over one-bit inputs packed into bytes.
-    let circuit = library::sum_mod(params.n, 8);
-    let functionality = Functionality::Circuit {
-        circuit,
+    let circuit = Functionality::Circuit {
+        circuit: library::sum_mod(params.n, 8),
         input_bytes: 1,
     };
-    let inputs: Vec<Vec<u8>> = (0..params.n).map(|i| vec![(i % 5) as u8]).collect();
-    let expected = functionality.evaluate(&inputs);
-    let crs = CommonRandomString::from_label(b"it-circuit");
-    let parties = mpc::mpc_parties(
-        &params,
-        &functionality,
-        ExecutionPath::Hybrid,
-        &inputs,
-        crs,
-        &BTreeSet::new(),
-    );
-    let result = Simulator::all_honest(params.n, parties)
-        .unwrap()
-        .run()
-        .unwrap();
-    assert_eq!(result.unanimous_output(), Some(&expected));
+    let votes: Vec<Vec<u8>> = (0..params.n).map(|i| vec![(i % 5) as u8]).collect();
+    // A sum wider than the toy LWE's 8-bit plaintext: no plaintext chunk
+    // holds it, so the builders realise it on the ideal host as well.
+    let wide_sum = Functionality::Sum { input_bytes: 2 };
+    let (summands, _) = sum_inputs(params.n);
+    let builders: [(&str, MpcBuilder<mpc::MpcParty>); 2] = [
+        ("Theorem 1", mpc::mpc_parties),
+        ("Theorem 4", tradeoff::tradeoff_parties),
+    ];
+    for (name, functionality, inputs) in [
+        ("circuit", circuit, votes),
+        ("wide sum", wide_sum, summands),
+    ] {
+        let expected = functionality.evaluate(&inputs);
+        for (theorem, build) in builders {
+            let crs = CommonRandomString::from_label(b"it-circuit");
+            let parties = build(&params, &functionality, &inputs, crs, &BTreeSet::new());
+            let result = Simulator::all_honest(params.n, parties)
+                .unwrap()
+                .run()
+                .unwrap();
+            assert_eq!(
+                result.unanimous_output(),
+                Some(&expected),
+                "{theorem} on the {name}"
+            );
+        }
+    }
 }
 
 #[test]
@@ -204,14 +195,7 @@ fn communication_scaling_matches_theorem_1_shape() {
         let params = sum_params(64, h);
         let (inputs, expected) = sum_inputs(params.n);
         let crs = CommonRandomString::from_label(format!("it-scaling-{h}").as_bytes());
-        let parties = mpc::mpc_parties(
-            &params,
-            &functionality,
-            ExecutionPath::Concrete,
-            &inputs,
-            crs,
-            &BTreeSet::new(),
-        );
+        let parties = mpc::mpc_parties(&params, &functionality, &inputs, crs, &BTreeSet::new());
         let result = Simulator::all_honest(params.n, parties)
             .unwrap()
             .run()

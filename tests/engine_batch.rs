@@ -11,7 +11,7 @@ use mpc_aborts::encfunc::Functionality;
 use mpc_aborts::engine::{ExecutionBackend, Parallel, Sequential, SessionPool, SessionReport};
 use mpc_aborts::net::{CommonRandomString, PartyId, Simulator};
 use mpc_aborts::protocols::{
-    all_to_all, broadcast, equality, local_mpc, mpc, tradeoff, ExecutionPath, ProtocolParams,
+    all_to_all, broadcast, equality, local_mpc, mpc, tradeoff, ProtocolParams,
 };
 
 fn sum_params(n: usize, h: usize) -> ProtocolParams {
@@ -39,8 +39,7 @@ fn submit_fleet<B: ExecutionBackend>(pool: &mut SessionPool<B>) {
         let (p, f, i) = (params, functionality.clone(), inputs.clone());
         pool.submit(format!("thm1-n{n}-h{h}"), move || {
             let crs = CommonRandomString::from_label(format!("batch-1-{n}-{h}").as_bytes());
-            let parties =
-                mpc::mpc_parties(&p, &f, ExecutionPath::Concrete, &i, crs, &BTreeSet::new());
+            let parties = mpc::mpc_parties(&p, &f, &i, crs, &BTreeSet::new());
             Simulator::all_honest(n, parties)
         });
 
@@ -55,14 +54,8 @@ fn submit_fleet<B: ExecutionBackend>(pool: &mut SessionPool<B>) {
 
         pool.submit(format!("thm4-n{n}-h{h}"), move || {
             let crs = CommonRandomString::from_label(format!("batch-4-{n}-{h}").as_bytes());
-            let parties = tradeoff::tradeoff_parties(
-                &params,
-                &functionality,
-                ExecutionPath::Concrete,
-                &inputs,
-                crs,
-                &BTreeSet::new(),
-            );
+            let parties =
+                tradeoff::tradeoff_parties(&params, &functionality, &inputs, crs, &BTreeSet::new());
             Simulator::all_honest(n, parties)
         });
     }
@@ -179,14 +172,7 @@ fn mpc_commstats_matches_pre_refactor_golden_vector() {
     let (params, inputs) = (sum_params(n, h), sum_inputs(n));
     let functionality = Functionality::Sum { input_bytes: 2 };
     let crs = CommonRandomString::from_label(b"golden-mpc-n16-h4");
-    let parties = mpc::mpc_parties(
-        &params,
-        &functionality,
-        ExecutionPath::Concrete,
-        &inputs,
-        crs,
-        &BTreeSet::new(),
-    );
+    let parties = mpc::mpc_parties(&params, &functionality, &inputs, crs, &BTreeSet::new());
     let result = Simulator::all_honest(n, parties).unwrap().run().unwrap();
     let digest = commstats_digest_json(n, h, &result);
 
@@ -214,14 +200,7 @@ fn pooled_session_matches_direct_simulator_run() {
     let functionality = Functionality::Sum { input_bytes: 2 };
     let build = |label: &str| {
         let crs = CommonRandomString::from_label(label.as_bytes());
-        let parties = mpc::mpc_parties(
-            &params,
-            &functionality,
-            ExecutionPath::Concrete,
-            &inputs,
-            crs,
-            &BTreeSet::new(),
-        );
+        let parties = mpc::mpc_parties(&params, &functionality, &inputs, crs, &BTreeSet::new());
         Simulator::all_honest(n, parties).unwrap()
     };
 
@@ -231,7 +210,7 @@ fn pooled_session_matches_direct_simulator_run() {
     let (p, f, i) = (params, functionality.clone(), inputs.clone());
     pool.submit("spot", move || {
         let crs = CommonRandomString::from_label(b"spot");
-        let parties = mpc::mpc_parties(&p, &f, ExecutionPath::Concrete, &i, crs, &BTreeSet::new());
+        let parties = mpc::mpc_parties(&p, &f, &i, crs, &BTreeSet::new());
         Simulator::all_honest(n, parties)
     });
     let batch = pool.run().unwrap();

@@ -12,7 +12,7 @@ use mpc_aborts::crypto::Prg;
 use mpc_aborts::encfunc::Functionality;
 use mpc_aborts::engine::{ExecutionBackend, Parallel, Sequential};
 use mpc_aborts::net::{CommonRandomString, PartyId, PartyLogic, Simulator};
-use mpc_aborts::protocols::{broadcast, equality, mpc, ExecutionPath, ProtocolParams};
+use mpc_aborts::protocols::{broadcast, equality, mpc, ProtocolParams};
 
 /// Runs the same deterministic construction through both backends and
 /// asserts bit-identical results.
@@ -111,7 +111,6 @@ proptest! {
                 let parties = mpc::mpc_parties(
                     &params,
                     &functionality,
-                    ExecutionPath::Concrete,
                     &inputs,
                     crs,
                     &BTreeSet::new(),

@@ -11,7 +11,7 @@ use proptest::prelude::*;
 use mpc_aborts::crypto::lwe::LweParams;
 use mpc_aborts::encfunc::Functionality;
 use mpc_aborts::net::{CommonRandomString, PartyId, SilentAdversary, SimConfig, Simulator};
-use mpc_aborts::protocols::{all_to_all, local_mpc, mpc, tradeoff, ExecutionPath, ProtocolParams};
+use mpc_aborts::protocols::{all_to_all, local_mpc, mpc, tradeoff, ProtocolParams};
 
 fn sum_params(n: usize, h: usize) -> ProtocolParams {
     ProtocolParams::new(n, h).with_lwe(LweParams {
@@ -37,7 +37,7 @@ proptest! {
         let crs = CommonRandomString::from_label(&seed.to_le_bytes());
         for build in [mpc::mpc_parties, tradeoff::tradeoff_parties] {
             let parties = build(
-                &params, &functionality, ExecutionPath::Concrete, &inputs, crs, &BTreeSet::new(),
+                &params, &functionality, &inputs, crs, &BTreeSet::new(),
             );
             let result = Simulator::all_honest(n, parties).unwrap().run().unwrap();
             prop_assert!(result.correct_or_aborted(&expected.to_le_bytes().to_vec()));
@@ -69,7 +69,7 @@ proptest! {
         let crs = CommonRandomString::from_label(&seed.to_le_bytes());
         for build in [mpc::mpc_parties, tradeoff::tradeoff_parties] {
             let parties = build(
-                &params, &functionality, ExecutionPath::Concrete, &inputs, crs, &corrupted,
+                &params, &functionality, &inputs, crs, &corrupted,
             );
             let result = Simulator::new(
                 params.n,
