@@ -1194,9 +1194,10 @@ pub fn exp_asymptotics() -> Table {
         );
         let bits = session.stats.total_bytes() * 8;
         let (nf, hf) = (n as f64, h as f64);
-        let fitted_k = mpca_core::BudgetCurve::for_kind(kind)
-            .map(|curve| format!("{:.2}", curve.fitted_log_exponent()))
-            .unwrap_or_else(|| "-".into());
+        let fitted_k = format!(
+            "{:.2}",
+            mpca_core::BudgetCurve::for_kind(kind).fitted_log_exponent()
+        );
         let pre_opt = PRE_OPT_WALLS_MS
             .iter()
             .find(|(name, pre_n, _)| *name == kind.name() && *pre_n == n)

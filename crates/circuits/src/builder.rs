@@ -1,5 +1,5 @@
-//! A combinator layer for building circuits: wires, multi-bit buses,
-//! ripple-carry adders, comparators and multiplexers.
+//! A combinator layer for building circuits: wires, multi-bit buses and
+//! ripple-carry adders.
 
 use crate::circuit::{Circuit, CircuitError, Gate, GateId};
 
@@ -76,15 +76,6 @@ impl CircuitBuilder {
         self.push(Gate::Const(value))
     }
 
-    /// A constant bus of the given width.
-    pub fn constant_bus(&mut self, value: u64, width: usize) -> Bus {
-        Bus {
-            wires: (0..width)
-                .map(|i| self.constant((value >> i) & 1 == 1))
-                .collect(),
-        }
-    }
-
     /// `a XOR b`.
     pub fn xor(&mut self, a: Wire, b: Wire) -> Wire {
         self.push(Gate::Xor(a.0, b.0))
@@ -93,61 +84,6 @@ impl CircuitBuilder {
     /// `a AND b`.
     pub fn and(&mut self, a: Wire, b: Wire) -> Wire {
         self.push(Gate::And(a.0, b.0))
-    }
-
-    /// `NOT a`.
-    pub fn not(&mut self, a: Wire) -> Wire {
-        self.push(Gate::Not(a.0))
-    }
-
-    /// `a OR b`.
-    pub fn or(&mut self, a: Wire, b: Wire) -> Wire {
-        // a | b = (a ^ b) ^ (a & b)
-        let x = self.xor(a, b);
-        let y = self.and(a, b);
-        self.xor(x, y)
-    }
-
-    /// Bitwise XOR of two equal-width buses.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the widths differ.
-    pub fn xor_bus(&mut self, a: &Bus, b: &Bus) -> Bus {
-        assert_eq!(a.width(), b.width(), "bus widths differ");
-        Bus {
-            wires: a
-                .wires
-                .iter()
-                .zip(b.wires.iter())
-                .map(|(&x, &y)| self.xor(x, y))
-                .collect(),
-        }
-    }
-
-    /// `selector ? a : b` for single wires.
-    pub fn mux(&mut self, selector: Wire, a: Wire, b: Wire) -> Wire {
-        // b ^ (selector & (a ^ b))
-        let diff = self.xor(a, b);
-        let gated = self.and(selector, diff);
-        self.xor(b, gated)
-    }
-
-    /// `selector ? a : b` for equal-width buses.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the widths differ.
-    pub fn mux_bus(&mut self, selector: Wire, a: &Bus, b: &Bus) -> Bus {
-        assert_eq!(a.width(), b.width(), "bus widths differ");
-        Bus {
-            wires: a
-                .wires
-                .iter()
-                .zip(b.wires.iter())
-                .map(|(&x, &y)| self.mux(selector, x, y))
-                .collect(),
-        }
     }
 
     /// Ripple-carry addition; the result is one bit wider than the inputs.
@@ -178,71 +114,6 @@ impl CircuitBuilder {
         let mut sum = self.add(a, b);
         sum.wires.pop();
         sum
-    }
-
-    /// `a > b` (unsigned comparison), returning a single wire.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the widths differ.
-    pub fn greater_than(&mut self, a: &Bus, b: &Bus) -> Wire {
-        assert_eq!(a.width(), b.width(), "bus widths differ");
-        // Scan from least significant to most significant:
-        // gt = (a_i & !b_i) | (gt & !(a_i ^ b_i))
-        let mut gt = self.constant(false);
-        for (&x, &y) in a.wires.iter().zip(b.wires.iter()) {
-            let not_y = self.not(y);
-            let x_gt_y = self.and(x, not_y);
-            let eq = self.xor(x, y);
-            let neq = eq;
-            let not_neq = self.not(neq);
-            let keep = self.and(gt, not_neq);
-            gt = self.or(x_gt_y, keep);
-        }
-        gt
-    }
-
-    /// Bus equality, returning a single wire.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the widths differ.
-    pub fn equals(&mut self, a: &Bus, b: &Bus) -> Wire {
-        assert_eq!(a.width(), b.width(), "bus widths differ");
-        let mut acc = self.constant(true);
-        for (&x, &y) in a.wires.iter().zip(b.wires.iter()) {
-            let diff = self.xor(x, y);
-            let same = self.not(diff);
-            acc = self.and(acc, same);
-        }
-        acc
-    }
-
-    /// Element-wise maximum of two buses, plus a wire that is set when `a`
-    /// was the strictly larger one.
-    pub fn max(&mut self, a: &Bus, b: &Bus) -> (Bus, Wire) {
-        let a_greater = self.greater_than(a, b);
-        (self.mux_bus(a_greater, a, b), a_greater)
-    }
-
-    /// Zero-extends a single wire into a `width`-bit bus (the wire becomes
-    /// the least-significant bit).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width == 0`.
-    pub fn bus_from_wire(&mut self, wire: Wire, width: usize) -> Bus {
-        assert!(width >= 1, "bus width must be positive");
-        let mut wires = vec![wire];
-        for _ in 1..width {
-            wires.push(self.constant(false));
-        }
-        Bus { wires }
-    }
-
-    /// Marks a single wire as the next output bit.
-    pub fn output(&mut self, wire: Wire) {
-        self.outputs.push(wire.0);
     }
 
     /// Marks a whole bus as output bits (LSB first).
@@ -309,77 +180,6 @@ mod tests {
         let sum = b.add_mod(&x, &y);
         let circuit = b.finish_with_bus(&sum).unwrap();
         assert_eq!(eval_u64(&circuit, &[(200, 8), (100, 8)]), (200 + 100) % 256);
-    }
-
-    #[test]
-    fn comparator_and_equality() {
-        let mut b = CircuitBuilder::new();
-        let x = b.input_bus(6);
-        let y = b.input_bus(6);
-        let gt = b.greater_than(&x, &y);
-        let eq = b.equals(&x, &y);
-        b.output(gt);
-        b.output(eq);
-        let circuit = b.finish().unwrap();
-        for (x, y) in [(0u64, 0u64), (5, 5), (10, 3), (3, 10), (63, 62), (31, 32)] {
-            let out = eval_u64(&circuit, &[(x, 6), (y, 6)]);
-            let expect = u64::from(x > y) | (u64::from(x == y) << 1);
-            assert_eq!(out, expect, "compare {x} vs {y}");
-        }
-    }
-
-    #[test]
-    fn max_and_mux() {
-        let mut b = CircuitBuilder::new();
-        let x = b.input_bus(5);
-        let y = b.input_bus(5);
-        let (max, from_a) = b.max(&x, &y);
-        b.output_bus(&max);
-        b.output(from_a);
-        let circuit = b.finish().unwrap();
-        for (x, y) in [(0u64, 7u64), (7, 0), (13, 13), (31, 30)] {
-            let out = eval_u64(&circuit, &[(x, 5), (y, 5)]);
-            let max_val = out & 0b11111;
-            let flag = out >> 5;
-            assert_eq!(max_val, x.max(y));
-            assert_eq!(flag, u64::from(x > y));
-        }
-    }
-
-    #[test]
-    fn or_truth_table() {
-        let mut b = CircuitBuilder::new();
-        let x = b.input();
-        let y = b.input();
-        let o = b.or(x, y);
-        b.output(o);
-        let circuit = b.finish().unwrap();
-        for (x, y) in [(false, false), (true, false), (false, true), (true, true)] {
-            assert_eq!(circuit.evaluate(&[x, y]).unwrap(), vec![x | y]);
-        }
-    }
-
-    #[test]
-    fn xor_bus_width_mismatch_panics() {
-        let mut b = CircuitBuilder::new();
-        let x = b.input_bus(3);
-        let y = b.input_bus(4);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = b.xor_bus(&x, &y);
-        }));
-        assert!(result.is_err());
-    }
-
-    #[test]
-    fn constant_bus_values() {
-        let mut b = CircuitBuilder::new();
-        let c = b.constant_bus(0b1011, 4);
-        b.output_bus(&c);
-        let circuit = b.finish().unwrap();
-        assert_eq!(
-            circuit.evaluate(&[]).unwrap(),
-            vec![true, true, false, true]
-        );
     }
 
     #[test]

@@ -149,14 +149,6 @@ impl Circuit {
         self.gates.len()
     }
 
-    /// Number of AND gates (the multiplicative size).
-    pub fn and_count(&self) -> usize {
-        self.gates
-            .iter()
-            .filter(|g| matches!(g, Gate::And(_, _)))
-            .count()
-    }
-
     /// Total circuit depth, counting every gate as depth 1.
     pub fn depth(&self) -> usize {
         self.depth_by(|_| 1)
@@ -205,29 +197,6 @@ impl Circuit {
             };
         }
         Ok(self.outputs.iter().map(|o| values[o.0]).collect())
-    }
-
-    /// Evaluates the circuit on per-party byte inputs, concatenated in party
-    /// order and interpreted little-endian bit-wise, returning output bytes
-    /// (zero-padded in the last byte).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CircuitError::WrongInputLength`] if the concatenated inputs
-    /// do not provide exactly the declared number of input bits.
-    pub fn evaluate_bytes(&self, party_inputs: &[Vec<u8>]) -> Result<Vec<u8>, CircuitError> {
-        let bits: Vec<bool> = party_inputs
-            .iter()
-            .flat_map(|bytes| bytes_to_bits(bytes))
-            .collect();
-        if bits.len() < self.input_bits {
-            return Err(CircuitError::WrongInputLength {
-                got: bits.len(),
-                expected: self.input_bits,
-            });
-        }
-        let outputs = self.evaluate(&bits[..self.input_bits])?;
-        Ok(bits_to_bytes(&outputs))
     }
 }
 
@@ -282,7 +251,6 @@ mod tests {
     fn depth_and_counts() {
         let circuit = xor_and_circuit();
         assert_eq!(circuit.gate_count(), 4);
-        assert_eq!(circuit.and_count(), 1);
         assert_eq!(circuit.depth(), 2);
         assert_eq!(circuit.multiplicative_depth(), 1);
         assert_eq!(circuit.input_bits(), 2);
@@ -325,24 +293,6 @@ mod tests {
         assert_eq!(bits_to_bytes(&bits), bytes);
         assert!(bits[0]);
         assert!(!bits[1]);
-    }
-
-    #[test]
-    fn evaluate_bytes_concatenates_party_inputs() {
-        // Two parties, one byte each; output = bitwise XOR of the two bytes.
-        let mut gates = Vec::new();
-        let mut outputs = Vec::new();
-        for bit in 0..8 {
-            gates.push(Gate::Input(bit));
-            gates.push(Gate::Input(8 + bit));
-            gates.push(Gate::Xor(GateId(gates.len() - 2), GateId(gates.len() - 1)));
-            outputs.push(GateId(gates.len() - 1));
-        }
-        let circuit = Circuit::new(16, gates, outputs).unwrap();
-        let out = circuit
-            .evaluate_bytes(&[vec![0b1100_1010], vec![0b1010_1100]])
-            .unwrap();
-        assert_eq!(out, vec![0b0110_0110]);
     }
 
     #[test]

@@ -14,10 +14,9 @@
 //!   multiplicative depth separately, since XOR is "free" for most
 //!   FHE-style cost models);
 //! * [`CircuitBuilder`] — a small combinator layer (wires, multi-bit buses,
-//!   adders, comparators, multiplexers) for building workloads;
-//! * [`library`] — the concrete workloads used in the experiments
-//!   (XOR aggregation, bounded sums, majority voting, maximum/second-price
-//!   auctions, equality).
+//!   adders) for building workloads;
+//! * [`library`] — [`library::sum_mod`], the bounded-sum circuit the
+//!   hybrid-path tests evaluate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -24,8 +24,9 @@
 //! calibration draw cannot produce a budget a lucky execution draw would
 //! overshoot. Off-grid parameters get the fitted envelope — the theorem
 //! shape times an explicitly fitted `log₂(n)^k` polylog factor, measurable
-//! now that the grid reaches `n = 512` — at the same slack; when the
-//! fixture is absent entirely, the legacy calibrated constants apply.
+//! now that the grid reaches `n = 512` — at the same slack. The fixture is
+//! compiled in, so cargo rebuilds this crate when a bless rewrites it; a
+//! fixture that does not parse, or lacks a family, panics on first use.
 //! DESIGN.md §7 documents the derivation.
 
 use std::collections::BTreeMap;
@@ -41,16 +42,8 @@ use crate::params::ProtocolParams;
 /// former hand-calibrated constants sat ~10× above the measurements.
 pub const BUDGET_SLACK: u64 = 2;
 
-/// Path of the golden calibration fixture (checked in at the workspace
-/// root). Read at runtime so `MPCA_BLESS=1` regeneration takes effect
-/// without a rebuild; the compiled-in copy is the fallback when the
-/// binary runs away from the source tree.
-pub const BUDGET_FIXTURE_PATH: &str = concat!(
-    env!("CARGO_MANIFEST_DIR"),
-    "/../../tests/golden/comm_budget_curves.json"
-);
-
-const BUDGET_FIXTURE_COMPILED: &str = include_str!(concat!(
+/// The golden calibration fixture, checked in at the workspace root.
+const BUDGET_FIXTURE: &str = include_str!(concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/../../tests/golden/comm_budget_curves.json"
 ));
@@ -116,34 +109,24 @@ impl ProtocolKind {
     /// Delegates to the family's golden-derived [`BudgetCurve`]
     /// ([`BUDGET_SLACK`]× the measured envelope; see the module docs for the
     /// derivation); honest executions must land inside it, and an execution
-    /// outside it means a constant-factor or accounting regression. Falls
-    /// back to the legacy ~10× hand-calibrated constants only when the
-    /// golden fixture carries no points for the family.
+    /// outside it means a constant-factor or accounting regression.
     pub fn comm_budget_bits(self, params: &ProtocolParams, payload_bytes: usize) -> u64 {
-        match BudgetCurve::for_kind(self) {
-            Some(curve) => curve.comm_budget_bits(params, payload_bytes),
-            None => self.fallback_budget_bits(params, payload_bytes),
-        }
+        BudgetCurve::for_kind(self).comm_budget_bits(params, payload_bytes)
     }
 
     /// The per-party **locality budget** at `params`: the maximum number of
     /// honest peers one honest party may contact. Theorems 2 and 4 promise
     /// locality, not just total bits — this is the quantitative half of the
     /// oracle's locality predicate. Always capped at `n - 1` (the full
-    /// mesh); without golden points the cap is the whole budget.
+    /// mesh).
     pub fn locality_budget(self, params: &ProtocolParams) -> usize {
-        let cap = params.n.saturating_sub(1).max(1);
-        match BudgetCurve::for_kind(self) {
-            Some(curve) => curve.locality_budget(params).min(cap),
-            None => cap,
-        }
+        BudgetCurve::for_kind(self).locality_budget(params)
     }
 
     /// The pre-curve budget: the family row's `legacy_budget_constant`
     /// times its `comm_shape`, hand-calibrated ~10× above the `E1`–`E5`
-    /// measurements. Kept as the fallback for builds
-    /// without the golden fixture, and as the yardstick the bless test
-    /// tightens against.
+    /// measurements. Kept as the yardstick the bless test tightens
+    /// against.
     pub fn fallback_budget_bits(self, params: &ProtocolParams, payload_bytes: usize) -> u64 {
         let spec = self.spec();
         (spec.legacy_budget_constant * spec.shape(params.n, params.h, payload_bytes)) as u64
@@ -392,11 +375,14 @@ pub struct BudgetCurve {
 }
 
 impl BudgetCurve {
-    /// The curve of `kind` from the golden fixture, or `None` when the
-    /// fixture has no points for it (callers fall back to
-    /// [`ProtocolKind::fallback_budget_bits`]).
-    pub fn for_kind(kind: ProtocolKind) -> Option<&'static BudgetCurve> {
-        curves().get(&kind)
+    /// The curve of `kind` from the golden fixture.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the compiled-in fixture does not parse or has no points
+    /// for some family.
+    pub fn for_kind(kind: ProtocolKind) -> &'static BudgetCurve {
+        &curves()[&kind]
     }
 
     /// The calibration points backing this curve.
@@ -535,23 +521,23 @@ impl BudgetCurve {
 fn curves() -> &'static BTreeMap<ProtocolKind, BudgetCurve> {
     static CURVES: OnceLock<BTreeMap<ProtocolKind, BudgetCurve>> = OnceLock::new();
     CURVES.get_or_init(|| {
-        let text = std::fs::read_to_string(BUDGET_FIXTURE_PATH)
-            .unwrap_or_else(|_| BUDGET_FIXTURE_COMPILED.to_string());
-        parse_curves(&text)
+        parse_curves(BUDGET_FIXTURE)
+            .unwrap_or_else(|e| panic!("tests/golden/comm_budget_curves.json: {e}"))
     })
 }
 
 /// Parses the golden fixture with [`mpca_metrics::json`]. Points of
-/// unknown protocols are skipped for forward compatibility; an unparseable
-/// document yields no curves, so the legacy constants apply.
-fn parse_curves(text: &str) -> BTreeMap<ProtocolKind, BudgetCurve> {
+/// unknown protocols are skipped for forward compatibility; a document
+/// that does not parse, a point that lacks a field, and a family without
+/// points are errors.
+fn parse_curves(text: &str) -> Result<BTreeMap<ProtocolKind, BudgetCurve>, String> {
     let mut map: BTreeMap<ProtocolKind, BudgetCurve> = BTreeMap::new();
-    let doc = Json::parse(text).unwrap_or(Json::Null);
-    for point in doc
+    let doc = Json::parse(text)?;
+    let points = doc
         .get("points")
         .and_then(Json::as_array)
-        .unwrap_or_default()
-    {
+        .ok_or("no `points` array")?;
+    for point in points {
         let Some(kind) = point
             .get("protocol")
             .and_then(Json::as_str)
@@ -559,15 +545,18 @@ fn parse_curves(text: &str) -> BTreeMap<ProtocolKind, BudgetCurve> {
         else {
             continue;
         };
-        let field = |key: &str| point.get(key).and_then(Json::as_u64);
-        let (Some(n), Some(h), Some(payload), Some(bits), Some(locality)) = (
-            field("n"),
-            field("h"),
-            field("payload_bytes"),
-            field("honest_bits"),
-            field("max_locality"),
-        ) else {
-            continue;
+        let field = |key: &str| {
+            point
+                .get(key)
+                .and_then(Json::as_u64)
+                .ok_or_else(|| format!("a {kind} point lacks `{key}`"))
+        };
+        let calibration = CalibrationPoint {
+            n: field("n")? as usize,
+            h: field("h")? as usize,
+            payload_bytes: field("payload_bytes")? as usize,
+            honest_bits: field("honest_bits")?,
+            max_locality: field("max_locality")? as usize,
         };
         map.entry(kind)
             .or_insert_with(|| BudgetCurve {
@@ -575,15 +564,12 @@ fn parse_curves(text: &str) -> BTreeMap<ProtocolKind, BudgetCurve> {
                 points: Vec::new(),
             })
             .points
-            .push(CalibrationPoint {
-                n: n as usize,
-                h: h as usize,
-                payload_bytes: payload as usize,
-                honest_bits: bits,
-                max_locality: locality as usize,
-            });
+            .push(calibration);
     }
-    map
+    match ProtocolKind::ALL.into_iter().find(|k| !map.contains_key(k)) {
+        Some(missing) => Err(format!("no calibration points for {missing}")),
+        None => Ok(map),
+    }
 }
 
 impl std::fmt::Display for ProtocolKind {
@@ -619,9 +605,8 @@ mod tests {
     fn budgets_track_the_theorem_shapes() {
         let loose = ProtocolParams::new(64, 8);
         let tight = ProtocolParams::new(64, 32);
-        // More honest parties → smaller budget for every h-dependent family,
-        // whether the curve or the fallback answers (n = 64 is off-grid, so
-        // this exercises the fitted-shape path once the fixture is blessed).
+        // More honest parties → smaller budget for every h-dependent family
+        // (n = 64 is off-grid, so this exercises the fitted-shape path).
         for kind in [
             ProtocolKind::Theorem1Mpc,
             ProtocolKind::Theorem2LocalMpc,
@@ -694,25 +679,54 @@ mod tests {
         assert_eq!(ProtocolKind::from_name("no-such-protocol"), None);
     }
 
+    /// A fixture with points for every family: two `thm1-mpc` points, one
+    /// `unchecked-sum` point, one point each for the other families and one
+    /// for an unknown protocol.
+    const FIXTURE: &str = concat!(
+        "{\"schema\":\"mpc-aborts/comm-budget-curves/v1\",\"points\":[\n",
+        "{\"protocol\":\"unchecked-sum\",\"n\":8,\"h\":6,\"payload_bytes\":8,",
+        "\"honest_bits\":4000,\"max_locality\":7},\n",
+        "{\"protocol\":\"thm1-mpc\",\"n\":8,\"h\":4,\"payload_bytes\":2,",
+        "\"honest_bits\":100000,\"max_locality\":7},\n",
+        "{\"protocol\":\"thm1-mpc\",\"n\":16,\"h\":8,\"payload_bytes\":2,",
+        "\"honest_bits\":200000,\"max_locality\":15},\n",
+        "{\"protocol\":\"thm2-local-mpc\",\"n\":8,\"h\":4,\"payload_bytes\":2,",
+        "\"honest_bits\":100000,\"max_locality\":7},\n",
+        "{\"protocol\":\"thm4-tradeoff\",\"n\":8,\"h\":4,\"payload_bytes\":2,",
+        "\"honest_bits\":100000,\"max_locality\":7},\n",
+        "{\"protocol\":\"broadcast\",\"n\":8,\"h\":6,\"payload_bytes\":32,",
+        "\"honest_bits\":4000,\"max_locality\":7},\n",
+        "{\"protocol\":\"all-to-all\",\"n\":8,\"h\":6,\"payload_bytes\":32,",
+        "\"honest_bits\":4000,\"max_locality\":7},\n",
+        "{\"protocol\":\"not-a-protocol\",\"n\":8,\"h\":6,\"payload_bytes\":8,",
+        "\"honest_bits\":1,\"max_locality\":1}\n",
+        "]}\n",
+    );
+
+    #[test]
+    fn malformed_and_incomplete_fixtures_are_rejected() {
+        assert!(parse_curves(FIXTURE).is_ok());
+        let truncated = FIXTURE.trim_end().trim_end_matches('}');
+        assert!(parse_curves(truncated).is_err(), "a malformed document");
+        let without_sum: String = FIXTURE
+            .lines()
+            .filter(|line| !line.contains("unchecked-sum"))
+            .collect::<Vec<_>>()
+            .join("\n");
+        let err = parse_curves(&without_sum).expect_err("a family without points");
+        assert!(err.contains("unchecked-sum"), "{err}");
+        let lacking = FIXTURE.replacen(",\"max_locality\":7}", "}", 1);
+        let err = parse_curves(&lacking).expect_err("a point without a field");
+        assert!(err.contains("max_locality"), "{err}");
+    }
+
     #[test]
     fn curves_parse_and_budget_from_golden_points() {
-        let fixture = concat!(
-            "{\"schema\":\"mpc-aborts/comm-budget-curves/v1\",\"points\":[\n",
-            "{\"protocol\":\"unchecked-sum\",\"n\":8,\"h\":6,\"payload_bytes\":8,",
-            "\"honest_bits\":4000,\"max_locality\":7},\n",
-            "{\"protocol\":\"thm1-mpc\",\"n\":8,\"h\":4,\"payload_bytes\":2,",
-            "\"honest_bits\":100000,\"max_locality\":7},\n",
-            "{\"protocol\":\"thm1-mpc\",\"n\":16,\"h\":8,\"payload_bytes\":2,",
-            "\"honest_bits\":200000,\"max_locality\":15},\n",
-            "{\"protocol\":\"not-a-protocol\",\"n\":8,\"h\":6,\"payload_bytes\":8,",
-            "\"honest_bits\":1,\"max_locality\":1}\n",
-            "]}\n",
-        );
-        let curves = parse_curves(fixture);
-        assert_eq!(curves.len(), 2, "unknown protocols are skipped");
-        assert!(
-            parse_curves(fixture.trim_end().trim_end_matches('}')).is_empty(),
-            "an unparseable document gives no curves"
+        let curves = parse_curves(FIXTURE).expect("fixture parses");
+        assert_eq!(
+            curves.len(),
+            ProtocolKind::ALL.len(),
+            "unknown protocols are skipped"
         );
 
         // h-insensitive: exact per-point budget is slack × measured, however
@@ -766,21 +780,29 @@ mod tests {
         // the log factor instead of extrapolating the bare theorem shape.
         let kind = ProtocolKind::UncheckedSum;
         let shape = kind.spec().comm_shape;
-        let lines: Vec<String> = [8usize, 16, 32, 64, 128]
-            .into_iter()
-            .map(|n| {
-                let bits =
-                    (1000.0 * shape(n as f64, (n - 2) as f64, 8.0) * (n as f64).log2()) as u64;
-                format!(
-                    "{{\"protocol\":\"unchecked-sum\",\"n\":{n},\"h\":{},\"payload_bytes\":8,\
-                     \"honest_bits\":{bits},\"max_locality\":{}}}",
-                    n - 2,
-                    n - 1
-                )
-            })
-            .collect();
-        let curves = parse_curves(&format!("{{\"points\":[{}]}}", lines.join(",\n")));
-        let curve = &curves[&kind];
+        let curve_of = |points: Vec<(usize, u64)>| BudgetCurve {
+            spec: kind.spec(),
+            points: points
+                .into_iter()
+                .map(|(n, honest_bits)| CalibrationPoint {
+                    n,
+                    h: n - 2,
+                    payload_bytes: 8,
+                    honest_bits,
+                    max_locality: n - 1,
+                })
+                .collect(),
+        };
+        let curve = curve_of(
+            [8usize, 16, 32, 64, 128]
+                .into_iter()
+                .map(|n| {
+                    let bits =
+                        (1000.0 * shape(n as f64, (n - 2) as f64, 8.0) * (n as f64).log2()) as u64;
+                    (n, bits)
+                })
+                .collect(),
+        );
         let k = curve.fitted_log_exponent();
         assert!((k - 1.0).abs() < 0.05, "fitted k = {k}, expected ≈ 1");
         // Off-grid at n = 256: the envelope must sit within a few percent
@@ -793,14 +815,7 @@ mod tests {
             "envelope {envelope} vs model {model}"
         );
         // And a constant-only grid (k = 0) stays a pure shape fit.
-        let flat = parse_curves(
-            "{\"points\":[\
-             {\"protocol\":\"unchecked-sum\",\"n\":8,\"h\":6,\"payload_bytes\":8,\
-             \"honest_bits\":4000,\"max_locality\":7},\
-             {\"protocol\":\"unchecked-sum\",\"n\":16,\"h\":14,\"payload_bytes\":8,\
-             \"honest_bits\":16000,\"max_locality\":15}]}",
-        );
-        let flat_k = flat[&kind].fitted_log_exponent();
+        let flat_k = curve_of(vec![(8, 4000), (16, 16000)]).fitted_log_exponent();
         assert!(
             flat_k.abs() < 1e-6,
             "shape-proportional grid fits k = 0, got {flat_k}"

@@ -490,7 +490,6 @@ impl PartyLogic for MpcParty {
                             rand::RngCore::fill_bytes(&mut self.prg, &mut r);
                             {
                                 let mut host = host.lock().expect("encfunc host lock poisoned");
-                                host.set_expected_members(1);
                                 host.submit_enc_randomness(self.id.index(), r);
                             }
                             let cost = self
@@ -945,9 +944,8 @@ pub(crate) fn committee_parties(
         EncFuncHost::new(
             params.lwe,
             HostFunctionality::Single(functionality.clone()),
-            1,
+            shared_a.as_ref().clone(),
         )
-        .with_shared_matrix(shared_a.as_ref().clone())
         .shared()
     });
     PartyId::all(params.n)

@@ -265,7 +265,6 @@ impl PartyLogic for MultiOutputParty {
                     rand::RngCore::fill_bytes(&mut self.prg, &mut r_sig);
                     {
                         let mut host = self.host.lock().expect("encfunc host lock poisoned");
-                        host.set_expected_members(1);
                         host.submit_enc_randomness(self.id.index(), r_enc);
                         host.submit_sig_randomness(self.id.index(), r_sig);
                     }
@@ -557,9 +556,8 @@ pub fn multi_output_parties(
     let host = EncFuncHost::new(
         params.lwe,
         HostFunctionality::Multi(functionality.clone()),
-        1,
+        shared_a.as_ref().clone(),
     )
-    .with_shared_matrix(shared_a.as_ref().clone())
     .shared();
     PartyId::all(params.n)
         .filter(|id| !corrupted.contains(id))

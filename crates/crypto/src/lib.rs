@@ -22,7 +22,7 @@
 //! | [`merkle_sig`] | many-time hash-based signatures | multi-output MPC (Algorithm 4) |
 //! | [`lwe`] | Regev-style LWE PKE, additively homomorphic | the encrypted functionality `F[PKE, f]` |
 //! | [`threshold`] | k-out-of-k threshold decryption for [`lwe`] | committee-internal MPC |
-//! | [`secret_sharing`] | XOR and additive secret sharing | key sharing, randomness pooling |
+//! | [`secret_sharing`] | additive k-out-of-k secret sharing mod `q` | [`threshold`] key shares |
 //! | [`ske`] | ChaCha20 + HMAC authenticated symmetric encryption | per-party output delivery (Algorithm 4) |
 //!
 //! Everything is deterministic given a seed, which keeps every experiment in

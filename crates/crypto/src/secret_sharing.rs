@@ -1,54 +1,11 @@
-//! Simple k-out-of-k secret sharing.
+//! Additive k-out-of-k secret sharing modulo `q`.
 //!
-//! The committee-based protocols secret-share the LWE secret key and the
-//! functionality randomness `r = ⊕ r_i` among all committee members, so that
-//! a single honest member suffices to keep the secret hidden (the paper's
-//! "k-out-of-k" requirement in §2.2).
+//! [`ThresholdKeyShares`](crate::threshold::ThresholdKeyShares) splits an LWE
+//! secret key among all committee members with it, so that a single honest
+//! member suffices to keep the key hidden (the paper's "k-out-of-k"
+//! requirement in §2.2).
 
 use crate::prg::Prg;
-
-/// XOR-based k-out-of-k sharing of a byte string.
-///
-/// ```
-/// use mpca_crypto::secret_sharing::{xor_share, xor_reconstruct};
-/// use mpca_crypto::Prg;
-///
-/// let mut prg = Prg::from_seed_bytes(b"doc");
-/// let shares = xor_share(&mut prg, b"secret", 4);
-/// assert_eq!(xor_reconstruct(&shares), b"secret");
-/// ```
-pub fn xor_share(prg: &mut Prg, secret: &[u8], parties: usize) -> Vec<Vec<u8>> {
-    assert!(parties >= 1, "need at least one share");
-    let mut shares = Vec::with_capacity(parties);
-    let mut running = secret.to_vec();
-    for _ in 0..parties - 1 {
-        let share = prg.gen_bytes(secret.len());
-        for (r, s) in running.iter_mut().zip(share.iter()) {
-            *r ^= s;
-        }
-        shares.push(share);
-    }
-    shares.push(running);
-    shares
-}
-
-/// Reconstructs an XOR-shared secret from all shares.
-///
-/// # Panics
-///
-/// Panics if the shares have inconsistent lengths or if no shares are given.
-pub fn xor_reconstruct(shares: &[Vec<u8>]) -> Vec<u8> {
-    assert!(!shares.is_empty(), "need at least one share");
-    let len = shares[0].len();
-    let mut out = vec![0u8; len];
-    for share in shares {
-        assert_eq!(share.len(), len, "inconsistent share length");
-        for (o, s) in out.iter_mut().zip(share.iter()) {
-            *o ^= s;
-        }
-    }
-    out
-}
 
 /// Additive k-out-of-k sharing of a vector of integers modulo `modulus`.
 ///
@@ -98,35 +55,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn xor_round_trip_various_party_counts() {
-        let mut prg = Prg::from_seed_bytes(b"xor");
-        let secret = prg.gen_bytes(100);
-        for parties in [1, 2, 3, 10, 64] {
-            let shares = xor_share(&mut prg, &secret, parties);
-            assert_eq!(shares.len(), parties);
-            assert_eq!(xor_reconstruct(&shares), secret);
-        }
-    }
-
-    #[test]
-    fn xor_missing_share_reveals_nothing_useful() {
-        let mut prg = Prg::from_seed_bytes(b"xor-hide");
-        let secret = vec![0xAB; 64];
-        let shares = xor_share(&mut prg, &secret, 5);
-        // Reconstructing from any 4 of the 5 shares should (overwhelmingly)
-        // not yield the secret.
-        for drop in 0..5 {
-            let partial: Vec<Vec<u8>> = shares
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| *i != drop)
-                .map(|(_, s)| s.clone())
-                .collect();
-            assert_ne!(xor_reconstruct(&partial), secret);
-        }
-    }
-
-    #[test]
     fn additive_round_trip() {
         let mut prg = Prg::from_seed_bytes(b"add");
         let modulus = (1u64 << 32) - 5;
@@ -155,7 +83,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "inconsistent share length")]
     fn inconsistent_lengths_panic() {
-        let shares = vec![vec![1u8, 2], vec![3u8]];
-        let _ = xor_reconstruct(&shares);
+        let shares = vec![vec![1u64, 2], vec![3u64]];
+        let _ = additive_reconstruct(&shares, 97);
     }
 }

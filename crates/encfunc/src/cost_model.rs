@@ -58,31 +58,6 @@ impl Theorem9CostModel {
         // one field element per lattice coordinate + NIZK
         8 + 4 * words
     }
-
-    /// Bytes of an encrypted input of `input_bytes` bytes under the scheme
-    /// (what each network party sends to each committee member in
-    /// Algorithm 3 step 4 when the hybrid path is used).
-    pub fn encrypted_input_bytes(&self, input_bytes: usize) -> usize {
-        let words = self.dimension_words() as usize;
-        input_bytes.max(1) * 8 * words / 8 + 16
-    }
-
-    /// Total point-to-point bytes to deliver `output_bytes` of output to
-    /// each of `recipients` parties, per Theorem 9's `ℓ_out · n · poly(λ, D)`
-    /// term, evaluated over a committee of `committee` members.
-    pub fn output_phase_bytes(
-        &self,
-        output_bytes: usize,
-        recipients: usize,
-        committee: usize,
-    ) -> usize {
-        output_bytes.max(1)
-            * 8
-            * recipients.max(1)
-            * committee.max(1)
-            * self.partial_decryption_bytes()
-            / 8
-    }
 }
 
 #[cfg(test)]
@@ -100,18 +75,9 @@ mod tests {
     }
 
     #[test]
-    fn sizes_grow_with_input_and_output_lengths() {
+    fn sizes_grow_with_input_length() {
         let model = Theorem9CostModel::new(16, 2);
         assert!(model.broadcast_payload_bytes(1) < model.broadcast_payload_bytes(100));
-        assert!(model.encrypted_input_bytes(1) < model.encrypted_input_bytes(64));
-        assert!(
-            model.output_phase_bytes(1, 10, 5) < model.output_phase_bytes(8, 10, 5),
-            "more output bytes cost more"
-        );
-        assert!(
-            model.output_phase_bytes(1, 10, 5) < model.output_phase_bytes(1, 100, 5),
-            "more recipients cost more"
-        );
     }
 
     #[test]
@@ -131,7 +97,5 @@ mod tests {
     fn zero_edge_cases_are_clamped() {
         let model = Theorem9CostModel::new(16, 0);
         assert!(model.broadcast_payload_bytes(0) > 0);
-        assert!(model.encrypted_input_bytes(0) > 0);
-        assert!(model.output_phase_bytes(0, 0, 0) > 0);
     }
 }

@@ -16,7 +16,7 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-use mpca_crypto::lwe::{keygen, LweCiphertext, LweParams, LwePublicKey, LweSecretKey};
+use mpca_crypto::lwe::{LweCiphertext, LweParams, LwePublicKey, LweSecretKey};
 use mpca_crypto::merkle_sig::{MerkleSigKeyPair, MerkleSigPublicKey};
 use mpca_crypto::sha256::sha256_parts;
 use mpca_crypto::ske::SymmetricKey;
@@ -39,6 +39,10 @@ pub enum HostFunctionality {
 ///
 /// Member indices are the committee members' *party ids* (as plain
 /// `usize`), and input providers are identified by their party ids as well.
+///
+/// Keys are generated from the contributions received so far, as soon as
+/// there is one: members contribute in the key-generation round and read
+/// the keys a round later, so every honest member's share is folded in.
 #[derive(Debug)]
 pub struct EncFuncHost {
     params: LweParams,
@@ -47,15 +51,13 @@ pub struct EncFuncHost {
     enc_randomness: BTreeMap<usize, [u8; 32]>,
     /// Randomness contributions for the signing key (`F_Gen,2`).
     sig_randomness: BTreeMap<usize, [u8; 32]>,
-    /// Number of committee members expected to contribute randomness.
-    expected_members: usize,
-    /// Cached key pair once all encryption randomness has arrived.
+    /// Cached key pair, cleared by every new encryption contribution.
     keys: Option<(LwePublicKey, LweSecretKey)>,
     /// Cached signing key pair.
     signing: Option<MerkleSigKeyPair>,
-    /// Optional CRS-derived public matrix `A`. When set, generated public
-    /// keys reuse it, so protocols only need to distribute the `b` vector.
-    shared_matrix: Option<Vec<u64>>,
+    /// The CRS-derived public matrix `A`. Generated public keys reuse it,
+    /// so protocols only need to distribute the `b` vector.
+    shared_matrix: Vec<u64>,
 }
 
 /// A shareable, thread-safe handle to the host. Committee members of one
@@ -65,48 +67,28 @@ pub struct EncFuncHost {
 pub type SharedHost = Arc<Mutex<EncFuncHost>>;
 
 impl EncFuncHost {
-    /// Creates a host for `expected_members` committee members.
-    pub fn new(
-        params: LweParams,
-        functionality: HostFunctionality,
-        expected_members: usize,
-    ) -> Self {
+    /// Creates a host whose keys reuse the CRS-derived public matrix
+    /// `shared_a`, so the public key can be distributed as a bare `b` vector.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the matrix shape does not match the parameters.
+    pub fn new(params: LweParams, functionality: HostFunctionality, shared_a: Vec<u64>) -> Self {
         params.validate();
-        assert!(expected_members >= 1, "need at least one committee member");
+        assert_eq!(
+            shared_a.len(),
+            params.pk_rows * params.dim,
+            "shared matrix has wrong shape"
+        );
         Self {
             params,
             functionality,
             enc_randomness: BTreeMap::new(),
             sig_randomness: BTreeMap::new(),
-            expected_members,
             keys: None,
             signing: None,
-            shared_matrix: None,
+            shared_matrix: shared_a,
         }
-    }
-
-    /// Sets the CRS-derived public matrix used for key generation, so the
-    /// public key can be distributed as a bare `b` vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the matrix shape does not match the parameters.
-    pub fn with_shared_matrix(mut self, shared_a: Vec<u64>) -> Self {
-        assert_eq!(
-            shared_a.len(),
-            self.params.pk_rows * self.params.dim,
-            "shared matrix has wrong shape"
-        );
-        self.shared_matrix = Some(shared_a);
-        self
-    }
-
-    /// Updates the number of committee members the host waits for before
-    /// generating keys. Protocols whose committee is elected at runtime call
-    /// this once the committee size is known; contributions already received
-    /// are kept.
-    pub fn set_expected_members(&mut self, expected: usize) {
-        self.expected_members = expected.max(1);
     }
 
     /// Wraps a host into a shared handle.
@@ -139,11 +121,6 @@ impl EncFuncHost {
         self.sig_randomness.insert(member_id, r);
     }
 
-    /// Number of encryption-randomness contributions received so far.
-    pub fn enc_contributions(&self) -> usize {
-        self.enc_randomness.len()
-    }
-
     fn combined_seed(label: &[u8], shares: &BTreeMap<usize, [u8; 32]>) -> [u8; 32] {
         // r = ⊕_j r_j, then hashed with a domain separator into a PRG seed.
         let mut combined = [0u8; 32];
@@ -159,26 +136,21 @@ impl EncFuncHost {
         if self.keys.is_some() {
             return true;
         }
-        if self.enc_randomness.len() < self.expected_members {
+        if self.enc_randomness.is_empty() {
             return false;
         }
         let seed = Self::combined_seed(b"encfunc-gen", &self.enc_randomness);
         let mut prg = Prg::new(seed);
-        self.keys = Some(match &self.shared_matrix {
-            None => keygen(&self.params, &mut prg),
-            Some(shared_a) => {
-                // Regev key generation re-using the CRS matrix: b = A·s + e.
-                let (contribution, decryptor) =
-                    crate::keygen::KeygenContribution::generate(&self.params, shared_a, &mut prg);
-                let pk =
-                    crate::keygen::combine_contributions(&self.params, shared_a, &[contribution]);
-                let sk = LweSecretKey {
-                    params: self.params,
-                    s: decryptor.share,
-                };
-                (pk, sk)
-            }
-        });
+        // Regev key generation re-using the CRS matrix: b = A·s + e.
+        let shared_a = &self.shared_matrix;
+        let (contribution, decryptor) =
+            crate::keygen::KeygenContribution::generate(&self.params, shared_a, &mut prg);
+        let pk = crate::keygen::combine_contributions(&self.params, shared_a, &[contribution]);
+        let sk = LweSecretKey {
+            params: self.params,
+            s: decryptor.share,
+        };
+        self.keys = Some((pk, sk));
         true
     }
 
@@ -190,7 +162,7 @@ impl EncFuncHost {
         {
             return true;
         }
-        if self.sig_randomness.len() < self.expected_members {
+        if self.sig_randomness.is_empty() {
             return false;
         }
         let seed = Self::combined_seed(b"encfunc-gen-sig", &self.sig_randomness);
@@ -199,7 +171,7 @@ impl EncFuncHost {
         true
     }
 
-    /// `F_Gen` output: the public key, available once every member has
+    /// `F_Gen` output: the public key, available once a member has
     /// contributed randomness.
     pub fn public_key(&mut self) -> Option<LwePublicKey> {
         if self.ensure_keys() {
@@ -209,9 +181,9 @@ impl EncFuncHost {
         }
     }
 
-    /// `F_Gen,2` output: the signing public key, available once every member
-    /// has contributed signing randomness. `capacity` bounds how many
-    /// outputs will be signed (i.e. `n`).
+    /// `F_Gen,2` output: the signing public key, available once a member has
+    /// contributed signing randomness. `capacity` bounds how many outputs
+    /// will be signed (i.e. `n`).
     pub fn signing_public_key(&mut self, capacity: usize) -> Option<MerkleSigPublicKey> {
         if self.ensure_signing(capacity) {
             self.signing.as_ref().map(|kp| kp.public_key())
@@ -314,36 +286,41 @@ impl EncFuncHost {
 mod tests {
     use super::*;
 
-    fn toy_host(f: HostFunctionality, members: usize) -> EncFuncHost {
-        EncFuncHost::new(LweParams::toy(), f, members)
+    fn toy_host(f: HostFunctionality) -> EncFuncHost {
+        let params = LweParams::toy();
+        let shared_a = crate::keygen::shared_matrix_from_crs(
+            &params,
+            &mut Prg::from_seed_bytes(b"hybrid-matrix"),
+        );
+        EncFuncHost::new(params, f, shared_a)
     }
 
     #[test]
-    fn keygen_waits_for_all_members() {
-        let mut host = toy_host(
-            HostFunctionality::Single(Functionality::Xor { input_bytes: 1 }),
-            3,
-        );
-        host.submit_enc_randomness(10, [1u8; 32]);
-        host.submit_enc_randomness(11, [2u8; 32]);
+    fn keygen_waits_for_a_contribution() {
+        let mut host = toy_host(HostFunctionality::Single(Functionality::Xor {
+            input_bytes: 1,
+        }));
         assert!(host.public_key().is_none());
-        host.submit_enc_randomness(12, [3u8; 32]);
-        assert!(host.public_key().is_some());
-        assert_eq!(host.enc_contributions(), 3);
+        host.submit_enc_randomness(10, [1u8; 32]);
+        let first = host.public_key().expect("one contribution suffices");
+        host.submit_enc_randomness(11, [2u8; 32]);
+        assert_ne!(
+            host.public_key(),
+            Some(first),
+            "a later contribution re-keys"
+        );
     }
 
     #[test]
     fn keys_depend_on_every_contribution() {
-        let mut a = toy_host(
-            HostFunctionality::Single(Functionality::Xor { input_bytes: 1 }),
-            2,
-        );
+        let mut a = toy_host(HostFunctionality::Single(Functionality::Xor {
+            input_bytes: 1,
+        }));
         a.submit_enc_randomness(0, [1u8; 32]);
         a.submit_enc_randomness(1, [2u8; 32]);
-        let mut b = toy_host(
-            HostFunctionality::Single(Functionality::Xor { input_bytes: 1 }),
-            2,
-        );
+        let mut b = toy_host(HostFunctionality::Single(Functionality::Xor {
+            input_bytes: 1,
+        }));
         b.submit_enc_randomness(0, [1u8; 32]);
         b.submit_enc_randomness(1, [9u8; 32]);
         assert_ne!(a.public_key(), b.public_key());
@@ -352,7 +329,7 @@ mod tests {
     #[test]
     fn single_output_compute_matches_reference() {
         let f = Functionality::Xor { input_bytes: 2 };
-        let mut host = toy_host(HostFunctionality::Single(f.clone()), 2);
+        let mut host = toy_host(HostFunctionality::Single(f.clone()));
         host.submit_enc_randomness(0, [7u8; 32]);
         host.submit_enc_randomness(1, [8u8; 32]);
         let pk = host.public_key().unwrap();
@@ -369,7 +346,7 @@ mod tests {
     #[test]
     fn garbage_ciphertexts_decrypt_to_some_input_not_a_crash() {
         let f = Functionality::Sum { input_bytes: 1 };
-        let mut host = toy_host(HostFunctionality::Single(f), 1);
+        let mut host = toy_host(HostFunctionality::Single(f));
         host.submit_enc_randomness(0, [1u8; 32]);
         let pk = host.public_key().unwrap();
         let mut prg = Prg::from_seed_bytes(b"hybrid-garbage");
@@ -384,7 +361,7 @@ mod tests {
     #[test]
     fn multi_output_bundles_verify_and_decrypt() {
         let f = MultiOutputFunctionality::VickreyAuction { input_bytes: 2 };
-        let mut host = EncFuncHost::new(LweParams::toy(), HostFunctionality::Multi(f.clone()), 2);
+        let mut host = toy_host(HostFunctionality::Multi(f.clone()));
         host.submit_enc_randomness(0, [1u8; 32]);
         host.submit_enc_randomness(1, [2u8; 32]);
         host.submit_sig_randomness(0, [3u8; 32]);
@@ -423,17 +400,15 @@ mod tests {
 
     #[test]
     fn mismatched_modes_return_none() {
-        let mut single = toy_host(
-            HostFunctionality::Single(Functionality::Sum { input_bytes: 1 }),
-            1,
-        );
+        let mut single = toy_host(HostFunctionality::Single(Functionality::Sum {
+            input_bytes: 1,
+        }));
         single.submit_enc_randomness(0, [0u8; 32]);
         assert!(single.compute_signed(&[], &[]).is_none());
 
-        let mut multi = toy_host(
-            HostFunctionality::Multi(MultiOutputFunctionality::PairwiseDelta { input_bytes: 1 }),
-            1,
-        );
+        let mut multi = toy_host(HostFunctionality::Multi(
+            MultiOutputFunctionality::PairwiseDelta { input_bytes: 1 },
+        ));
         multi.submit_enc_randomness(0, [0u8; 32]);
         assert!(multi.compute(&[]).is_none());
     }

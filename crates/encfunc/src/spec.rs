@@ -44,12 +44,6 @@ impl Functionality {
         }
     }
 
-    /// Whether the functionality is linear (eligible for the concrete
-    /// threshold-LWE evaluation path).
-    pub fn is_linear(&self) -> bool {
-        matches!(self, Functionality::Sum { .. } | Functionality::Xor { .. })
-    }
-
     /// The circuit depth `D` used by the Theorem 9 cost model.
     ///
     /// Linear functionalities have multiplicative depth 0; circuit
@@ -255,7 +249,6 @@ mod tests {
     #[test]
     fn sum_evaluation_and_metadata() {
         let f = Functionality::Sum { input_bytes: 2 };
-        assert!(f.is_linear());
         assert_eq!(f.depth(), 0);
         assert_eq!(f.input_bytes(), 2);
         assert_eq!(f.output_bytes(5), 2);
@@ -272,7 +265,6 @@ mod tests {
     #[test]
     fn xor_evaluation() {
         let f = Functionality::Xor { input_bytes: 3 };
-        assert!(f.is_linear());
         let inputs = vec![
             vec![0xFF, 0x00, 0x0F],
             vec![0x0F, 0xAA, 0x0F],
@@ -292,7 +284,6 @@ mod tests {
             circuit,
             input_bytes: 1,
         };
-        assert!(!f.is_linear());
         let inputs: Vec<Vec<u8>> = vec![vec![10], vec![20], vec![30], vec![200], vec![100]];
         let out = f.evaluate(&inputs);
         assert_eq!(out, vec![((10u64 + 20 + 30 + 200 + 100) % 256) as u8]);

@@ -13,21 +13,23 @@ use mpca_trace::TraceSummary;
 /// Pools mix sessions of different protocols (different `Output` types), so
 /// outputs are erased to their canonical `Debug` rendering. The rendering is
 /// deterministic for the `Ord`-based types this workspace uses, which makes
-/// digests comparable across backends.
+/// digests comparable across backends. An abort keeps its structured
+/// [`AbortReason`], so callers (e.g. the `mpca-scenario` security oracle)
+/// can assert *why* a session aborted, not just that it did.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum OutcomeDigest {
     /// The party produced this output (`Debug` rendering).
     Output(String),
-    /// The party aborted with this reason (`Display` rendering).
-    Aborted(String),
+    /// The party aborted with this reason.
+    Aborted(AbortReason),
 }
 
 impl OutcomeDigest {
     /// Digests a typed outcome.
-    pub fn from_outcome<O: Debug>(outcome: &PartyOutcome<O>) -> Self {
+    pub fn from_outcome<O: Debug>(outcome: PartyOutcome<O>) -> Self {
         match outcome {
             PartyOutcome::Output(o) => OutcomeDigest::Output(format!("{o:?}")),
-            PartyOutcome::Aborted(reason) => OutcomeDigest::Aborted(reason.to_string()),
+            PartyOutcome::Aborted(reason) => OutcomeDigest::Aborted(reason),
         }
     }
 
@@ -47,13 +49,9 @@ impl OutcomeDigest {
 pub struct SessionReport {
     /// The label the session was submitted under.
     pub label: String,
-    /// Digest of every honest party's terminal state.
+    /// Digest of every honest party's terminal state, abort reasons
+    /// included (part of equality: the determinism contract covers them).
     pub outcomes: BTreeMap<PartyId, OutcomeDigest>,
-    /// The structured [`AbortReason`] of every honest party that aborted —
-    /// so callers (e.g. the `mpca-scenario` security oracle) can assert
-    /// *why* a session aborted, not just that it did. Part of equality: the
-    /// determinism contract covers abort reasons too.
-    pub abort_reasons: BTreeMap<PartyId, AbortReason>,
     /// Communication statistics of the execution.
     pub stats: CommStats,
     /// Rounds executed.
@@ -96,7 +94,6 @@ impl PartialEq for SessionReport {
     fn eq(&self, other: &Self) -> bool {
         self.label == other.label
             && self.outcomes == other.outcomes
-            && self.abort_reasons == other.abort_reasons
             && self.stats == other.stats
             && self.rounds == other.rounds
             && self.peak_inbox_bytes == other.peak_inbox_bytes
@@ -116,22 +113,14 @@ impl SessionReport {
         result: RunResult<O>,
         wall: Duration,
     ) -> Self {
-        let mut abort_reasons = BTreeMap::new();
         let outcomes = result
             .outcomes
             .into_iter()
-            .map(|(id, outcome)| {
-                let digest = OutcomeDigest::from_outcome(&outcome);
-                if let PartyOutcome::Aborted(reason) = outcome {
-                    abort_reasons.insert(id, reason);
-                }
-                (id, digest)
-            })
+            .map(|(id, outcome)| (id, OutcomeDigest::from_outcome(outcome)))
             .collect();
         Self {
             label: label.into(),
             outcomes,
-            abort_reasons,
             stats: result.stats,
             rounds: result.rounds,
             peak_inbox_bytes: result.peak_inbox_bytes,
@@ -157,9 +146,23 @@ impl SessionReport {
         self.outcomes.values().any(OutcomeDigest::is_abort)
     }
 
+    /// Every honest party that aborted, with its structured reason, in
+    /// party-id order.
+    pub fn aborts(&self) -> impl Iterator<Item = (PartyId, &AbortReason)> {
+        self.outcomes
+            .iter()
+            .filter_map(|(id, digest)| match digest {
+                OutcomeDigest::Aborted(reason) => Some((*id, reason)),
+                OutcomeDigest::Output(_) => None,
+            })
+    }
+
     /// The structured abort reason of `party`, if it aborted.
     pub fn abort_reason_of(&self, party: PartyId) -> Option<&AbortReason> {
-        self.abort_reasons.get(&party)
+        match self.outcomes.get(&party)? {
+            OutcomeDigest::Aborted(reason) => Some(reason),
+            OutcomeDigest::Output(_) => None,
+        }
     }
 }
 
@@ -190,7 +193,7 @@ pub struct BatchReport {
 
 impl BatchReport {
     /// Assembles a batch report, sorting the per-session walls once so
-    /// [`BatchReport::wall_quantile`] and the `p50/p90/p99` accessors are
+    /// [`BatchReport::wall_quantile`] and the `p50/p99` accessors are
     /// constant-time thereafter.
     pub fn new(
         sessions: Vec<SessionReport>,
@@ -279,34 +282,10 @@ impl BatchReport {
         self.wall_quantile(0.5)
     }
 
-    /// 90th-percentile per-session wall-clock.
-    pub fn p90(&self) -> Duration {
-        self.wall_quantile(0.9)
-    }
-
     /// 99th-percentile per-session wall-clock — the sustained-load latency
     /// signal the fleet telemetry watches.
     pub fn p99(&self) -> Duration {
         self.wall_quantile(0.99)
-    }
-
-    /// Charged bytes per protocol phase summed over every session.
-    /// Deterministic (a sum of in-contract per-session values).
-    pub fn phase_bytes_total(&self) -> PhaseBytes {
-        let mut total = PhaseBytes::new();
-        for session in &self.sessions {
-            total.merge(&session.phase_bytes);
-        }
-        total
-    }
-
-    /// The `k` slowest sessions, slowest first — the campaign-level answer
-    /// to "where did the wall-clock go".
-    pub fn slowest_sessions(&self, k: usize) -> Vec<&SessionReport> {
-        let mut by_wall: Vec<&SessionReport> = self.sessions.iter().collect();
-        by_wall.sort_by_key(|s| std::cmp::Reverse(s.wall));
-        by_wall.truncate(k);
-        by_wall
     }
 
     /// A one-line human-readable summary.
@@ -347,11 +326,9 @@ mod tests {
     fn report(label: &str, rounds: usize, wall_ms: u64) -> SessionReport {
         let mut stats = CommStats::new();
         stats.record_send(PartyId(0), PartyId(1), 10);
-        stats.set_rounds(rounds);
         SessionReport {
             label: label.into(),
             outcomes: [(PartyId(0), OutcomeDigest::Output("42".into()))].into(),
-            abort_reasons: BTreeMap::new(),
             stats,
             rounds,
             peak_inbox_bytes: 10,
@@ -376,8 +353,8 @@ mod tests {
 
     #[test]
     fn outcome_digest_classifies() {
-        let output = OutcomeDigest::from_outcome(&PartyOutcome::Output(7u32));
-        let abort = OutcomeDigest::from_outcome::<u32>(&PartyOutcome::Aborted(
+        let output = OutcomeDigest::from_outcome(PartyOutcome::Output(7u32));
+        let abort = OutcomeDigest::from_outcome::<u32>(PartyOutcome::Aborted(
             AbortReason::Malformed("x".into()),
         ));
         assert_eq!(output, OutcomeDigest::Output("7".into()));
@@ -398,7 +375,6 @@ mod tests {
         assert_eq!(batch.total_bytes(), 20);
         assert_eq!(batch.peak_inbox_bytes(), 10);
         assert_eq!(batch.wall_quantile(1.0), Duration::from_millis(1));
-        assert_eq!(batch.slowest_sessions(1).len(), 1);
         assert!(batch.sessions_per_sec() > 19.0 && batch.sessions_per_sec() < 21.0);
         assert!(batch.session("a").is_some());
         assert!(batch.session("zzz").is_none());
@@ -425,19 +401,12 @@ mod tests {
         assert_eq!(batch.wall_quantile(0.0), Duration::from_millis(10));
         // The convenience accessors answer from the same sorted-once cache.
         assert_eq!(batch.p50(), Duration::from_millis(20));
-        assert_eq!(batch.p90(), Duration::from_millis(40));
         assert_eq!(batch.p99(), Duration::from_millis(40));
         // Queue-wait quantiles rank independently of the walls (the helper
         // sets queue_wait = wall/2, so the same ordering at half scale).
         assert_eq!(batch.queue_p50(), Duration::from_millis(10));
         assert_eq!(batch.queue_p99(), Duration::from_millis(20));
         assert_eq!(batch.queue_quantile(0.0), Duration::from_millis(5));
-        let slowest: Vec<&str> = batch
-            .slowest_sessions(2)
-            .iter()
-            .map(|s| s.label.as_str())
-            .collect();
-        assert_eq!(slowest, vec!["b", "d"]);
         let empty = BatchReport::new(vec![], Duration::ZERO, 1, "sequential", 0);
         assert_eq!(empty.wall_quantile(0.5), Duration::ZERO);
         assert_eq!(empty.p99(), Duration::ZERO);
@@ -453,20 +422,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_phase_bytes_sum_over_sessions() {
-        let mut a = report("a", 1, 1);
-        a.phase_bytes.charge(Phase::Setup, 100);
-        a.phase_bytes.charge(Phase::Verification, 7);
-        let mut b = report("b", 1, 1);
-        b.phase_bytes.charge(Phase::Setup, 11);
-        let batch = BatchReport::new(vec![a, b], Duration::from_millis(1), 1, "sequential", 0);
-        let total = batch.phase_bytes_total();
-        assert_eq!(total.get(Phase::Setup), 111);
-        assert_eq!(total.get(Phase::Verification), 7);
-        assert_eq!(total.total(), 118);
-    }
-
-    #[test]
     fn equality_covers_the_inbox_high_water_marks() {
         let mut divergent = report("a", 2, 5);
         divergent.peak_inbox_bytes += 1;
@@ -475,11 +430,16 @@ mod tests {
 
     #[test]
     fn equality_covers_the_abort_reasons() {
-        let mut divergent = report("a", 2, 5);
-        divergent
-            .abort_reasons
-            .insert(PartyId(0), AbortReason::Malformed("junk".into()));
-        assert_ne!(report("a", 2, 5), divergent);
+        let aborted = |reason: &str| {
+            let mut r = report("a", 2, 5);
+            let reason = AbortReason::Malformed(reason.into());
+            r.outcomes
+                .insert(PartyId(0), OutcomeDigest::Aborted(reason));
+            r
+        };
+        assert_ne!(report("a", 2, 5), aborted("junk"));
+        assert_ne!(aborted("junk"), aborted("other junk"));
+        assert_eq!(aborted("junk"), aborted("junk"));
     }
 
     #[test]
@@ -502,7 +462,8 @@ mod tests {
         let report = SessionReport::from_result("r", result, Duration::ZERO);
         assert_eq!(report.abort_reason_of(PartyId(1)), Some(&reason));
         assert_eq!(report.abort_reason_of(PartyId(0)), None);
-        assert_eq!(report.abort_reasons.len(), 1);
+        assert_eq!(report.abort_reason_of(PartyId(2)), None);
+        assert_eq!(report.aborts().collect::<Vec<_>>(), [(PartyId(1), &reason)]);
         assert_eq!(report.trace, None, "untraced runs digest nothing");
     }
 

@@ -1,5 +1,5 @@
-//! Snapshot capture and exposition: JSON (schema
-//! `mpc-aborts/metrics/v1`) and Prometheus text format.
+//! Snapshot capture and its JSON exposition (schema
+//! `mpc-aborts/metrics/v1`).
 //!
 //! A [`Snapshot`] is a point-in-time copy of every registered metric —
 //! plain data, decoupled from the live atomics, safe to serialise or
@@ -162,37 +162,6 @@ impl Snapshot {
             histograms,
         })
     }
-
-    /// Renders the Prometheus text exposition format (counters as
-    /// `counter`, histograms as cumulative `_bucket`/`_sum`/`_count`
-    /// series with `le` labels).
-    pub fn to_prometheus(&self) -> String {
-        let mut out = String::new();
-        for (name, value) in &self.counters {
-            let metric = prom_name(name);
-            let _ = writeln!(out, "# TYPE {metric} counter");
-            let _ = writeln!(out, "{metric} {value}");
-        }
-        for (name, h) in &self.histograms {
-            let metric = prom_name(name);
-            let _ = writeln!(out, "# TYPE {metric} histogram");
-            let mut cumulative = 0u64;
-            for (bound, count) in &h.buckets {
-                cumulative += count;
-                let _ = writeln!(out, "{metric}_bucket{{le=\"{bound}\"}} {cumulative}");
-            }
-            let _ = writeln!(out, "{metric}_bucket{{le=\"+Inf\"}} {}", h.count);
-            let _ = writeln!(out, "{metric}_sum {}", h.sum);
-            let _ = writeln!(out, "{metric}_count {}", h.count);
-        }
-        out
-    }
-}
-
-fn prom_name(name: &str) -> String {
-    name.chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-        .collect()
 }
 
 #[cfg(test)]
@@ -242,19 +211,6 @@ mod tests {
     }
 
     #[test]
-    fn prometheus_renders_cumulative_buckets() {
-        let text = sample().to_prometheus();
-        assert!(text.contains("# TYPE net_phase_bytes_setup counter"));
-        assert!(text.contains("net_phase_bytes_setup 4096"));
-        assert!(text.contains("engine_session_wall_us_bucket{le=\"127\"} 1"));
-        // Cumulative: the 1023 bucket includes the 127 bucket's count.
-        assert!(text.contains("engine_session_wall_us_bucket{le=\"1023\"} 3"));
-        assert!(text.contains("engine_session_wall_us_bucket{le=\"+Inf\"} 3"));
-        assert!(text.contains("engine_session_wall_us_sum 1100"));
-        assert!(text.contains("engine_session_wall_us_count 3"));
-    }
-
-    #[test]
     fn json_escapes_hostile_metric_names() {
         // Names with JSON-significant characters must serialise to valid
         // JSON and survive the round-trip byte-for-byte.
@@ -270,94 +226,6 @@ mod tests {
         assert!(json.contains("quote\\\"inside"));
         assert!(json.contains("back\\\\slash"));
         assert_eq!(Snapshot::from_json(&json), Some(snapshot));
-    }
-
-    #[test]
-    fn prometheus_sanitises_label_unsafe_names() {
-        // Prometheus metric names admit only [a-zA-Z0-9_:]; every other
-        // byte must be mapped away, including quotes and braces that would
-        // otherwise corrupt the exposition syntax.
-        let snapshot = Snapshot {
-            counters: vec![("evil\"name{with}=weird.chars".into(), 9)],
-            histograms: Vec::new(),
-        };
-        let text = snapshot.to_prometheus();
-        assert!(text.contains("evil_name_with__weird_chars 9"));
-        for line in text.lines().filter(|l| !l.starts_with('#')) {
-            let name = line.split([' ', '{']).next().unwrap();
-            assert!(
-                name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_'),
-                "unsanitised metric name in {line:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn prometheus_exposition_parses_back_to_the_snapshot() {
-        // Parse the exposition text back with a minimal Prometheus
-        // text-format reader and check it reproduces the snapshot:
-        // counters by value, histograms by de-cumulated buckets, sum and
-        // count. This is the contract a real scrape depends on.
-        let snapshot = sample();
-        let text = snapshot.to_prometheus();
-        let mut counters: Vec<(String, u64)> = Vec::new();
-        let mut buckets: Vec<(String, u64, u64)> = Vec::new(); // (metric, le, cumulative)
-        let mut sums: Vec<(String, u64)> = Vec::new();
-        let mut counts: Vec<(String, u64)> = Vec::new();
-        let mut types: Vec<(String, String)> = Vec::new();
-        for line in text.lines() {
-            if let Some(rest) = line.strip_prefix("# TYPE ") {
-                let (name, kind) = rest.split_once(' ').unwrap();
-                types.push((name.into(), kind.into()));
-                continue;
-            }
-            let (series, value) = line.rsplit_once(' ').unwrap();
-            let value: u64 = value.parse().unwrap();
-            if let Some((metric, label)) = series.split_once('{') {
-                let le = label
-                    .strip_prefix("le=\"")
-                    .and_then(|l| l.strip_suffix("\"}"))
-                    .unwrap();
-                let metric = metric.strip_suffix("_bucket").unwrap();
-                if le != "+Inf" {
-                    buckets.push((metric.into(), le.parse().unwrap(), value));
-                }
-            } else if let Some(metric) = series.strip_suffix("_sum") {
-                sums.push((metric.into(), value));
-            } else if let Some(metric) = series.strip_suffix("_count") {
-                counts.push((metric.into(), value));
-            } else {
-                counters.push((series.into(), value));
-            }
-        }
-        for (name, value) in &snapshot.counters {
-            assert!(counters.contains(&(prom_name(name), *value)));
-            assert!(types.contains(&(prom_name(name), "counter".into())));
-        }
-        for (name, h) in &snapshot.histograms {
-            let metric = prom_name(name);
-            assert!(types.contains(&(metric.clone(), "histogram".into())));
-            assert!(sums.contains(&(metric.clone(), h.sum)));
-            assert!(counts.contains(&(metric.clone(), h.count)));
-            // De-cumulate the scraped buckets and compare per-bucket counts.
-            let mut scraped: Vec<(u64, u64)> = buckets
-                .iter()
-                .filter(|(m, _, _)| *m == metric)
-                .map(|(_, le, cum)| (*le, *cum))
-                .collect();
-            scraped.sort_unstable();
-            let mut prev = 0;
-            let per_bucket: Vec<(u64, u64)> = scraped
-                .iter()
-                .map(|(le, cum)| {
-                    assert!(*cum >= prev, "cumulative counts must be nondecreasing");
-                    let n = cum - prev;
-                    prev = *cum;
-                    (*le, n)
-                })
-                .collect();
-            assert_eq!(&per_bucket, &h.buckets);
-        }
     }
 
     #[test]

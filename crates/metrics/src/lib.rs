@@ -19,8 +19,7 @@
 //!   default** ([`set_enabled`]): when disabled, a charge site costs one
 //!   relaxed load and a span guard never calls `Instant::now`. Snapshots
 //!   export as JSON ([`Snapshot::to_json`], schema
-//!   `mpc-aborts/metrics/v1`) and Prometheus text
-//!   ([`Snapshot::to_prometheus`]).
+//!   `mpc-aborts/metrics/v1`).
 //!
 //! It also hosts the workspace's one JSON parser and string escaper
 //! ([`json`]), which every JSON artefact reader and writer uses.

@@ -126,11 +126,6 @@ impl PhaseBytes {
         Self::default()
     }
 
-    /// Builds from a raw per-phase array (clock order).
-    pub fn from_array(bytes: [u64; Phase::COUNT]) -> Self {
-        Self { bytes }
-    }
-
     /// Charges `bytes` to `phase`.
     pub fn charge(&mut self, phase: Phase, bytes: u64) {
         self.bytes[phase.index()] += bytes;
@@ -211,6 +206,5 @@ mod tests {
         assert_eq!(b.get(Phase::Setup), 11);
         assert_eq!(b.total(), 21);
         assert_eq!(b.iter().map(|(_, v)| v).sum::<u64>(), b.total());
-        assert_eq!(PhaseBytes::from_array(b.as_array()), b);
     }
 }

@@ -14,14 +14,15 @@
 //! parties run the honest logic, and the wrappers turn that honesty into an
 //! attack —
 //!
-//! * [`AbortAt`] — honest until a chosen round, then crash (the *selective
-//!   abort pattern* the paper's model is named after);
+//! * [`AbortAt`] — honest until a chosen round, then every corrupted party
+//!   crashes (the *selective abort pattern* the paper's model is named
+//!   after);
 //! * [`Withhold`] — honest except messages to selected recipients are
 //!   silently dropped (selective message withholding);
 //! * [`Equivocate`] — selected victims receive tampered copies while
 //!   everyone else receives the true message (equivocation);
-//! * [`FloodBudget`] — a stand-alone flooding base with round/byte budgets
-//!   and the junk buffer materialised **once** at construction;
+//! * [`FloodBudget`] — a stand-alone flooding base with an optional round
+//!   budget and the junk buffer materialised **once** at construction;
 //! * [`Compose`] — the union of two adversaries (disjoint corruption sets);
 //! * [`TriggerWhen`] — adaptivity within the static-corruption model: the
 //!   wrapped behaviour stays dormant until a predicate over the messages
@@ -141,7 +142,7 @@ impl Adversary for Compose {
 }
 
 /// Crash-stop at a chosen round: passes the inner adversary's envelopes
-/// through until round `round`, from which point the selected parties send
+/// through until round `round`, from which point the corrupted parties send
 /// nothing ever again.
 ///
 /// Wrapped around [`ProxyAdversary::honest`](crate::ProxyAdversary::honest)
@@ -152,27 +153,13 @@ impl Adversary for Compose {
 pub struct AbortAt {
     inner: Box<dyn Adversary>,
     round: usize,
-    /// The parties that crash; defaults to the whole corruption set.
-    aborting: BTreeSet<PartyId>,
 }
 
 impl AbortAt {
     /// All corrupted parties crash at the start of `round` (their last sends
     /// are the ones produced in round `round - 1`).
     pub fn new(inner: Box<dyn Adversary>, round: usize) -> Self {
-        let aborting = inner.corrupted().clone();
-        Self {
-            inner,
-            round,
-            aborting,
-        }
-    }
-
-    /// Restricts the crash to a subset of the corrupted parties; the rest
-    /// keep following the inner adversary.
-    pub fn with_parties(mut self, parties: impl IntoIterator<Item = PartyId>) -> Self {
-        self.aborting = parties.into_iter().collect();
-        self
+        Self { inner, round }
     }
 }
 
@@ -180,7 +167,6 @@ impl std::fmt::Debug for AbortAt {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AbortAt")
             .field("round", &self.round)
-            .field("aborting", &self.aborting)
             .finish_non_exhaustive()
     }
 }
@@ -200,7 +186,7 @@ impl Adversary for AbortAt {
         // stay in sync with the execution) but crashed parties' sends are
         // suppressed.
         for envelope in drain_inner(self.inner.as_mut(), round, delivered) {
-            if round >= self.round && self.aborting.contains(&envelope.from) {
+            if round >= self.round && self.inner.corrupted().contains(&envelope.from) {
                 continue;
             }
             ctx.send_as(envelope.from, envelope.to, envelope.payload);
@@ -368,13 +354,13 @@ impl Adversary for Equivocate {
 
 /// Flooding with a budget: every corrupted party sends `junk_bytes` of junk
 /// to every victim each round, for at most `round_budget` **active** rounds
-/// and at most `byte_budget` total junk bytes (both unbounded by default).
+/// (unbounded by default).
 ///
 /// Used to check the paper's flooding rule: honest parties must abort (not
 /// misbehave, not count the junk towards the protocol's communication) when
 /// they receive more than the protocol prescribes.
 ///
-/// Budgets are charged only when the flood actually runs a round — not
+/// The budget is charged only when the flood actually runs a round — not
 /// against absolute round numbers — so a flood that spends its early rounds
 /// dormant behind a [`TriggerWhen`] still delivers its full budget once
 /// armed.
@@ -388,9 +374,7 @@ pub struct FloodBudget {
     victims: Vec<PartyId>,
     junk: Payload,
     round_budget: Option<usize>,
-    byte_budget: Option<u64>,
     rounds_run: usize,
-    bytes_sent: u64,
 }
 
 impl FloodBudget {
@@ -406,9 +390,7 @@ impl FloodBudget {
             victims: victims.into_iter().collect(),
             junk: Payload::from_vec(vec![0xEEu8; junk_bytes]),
             round_budget: None,
-            byte_budget: None,
             rounds_run: 0,
-            bytes_sent: 0,
         }
     }
 
@@ -416,17 +398,6 @@ impl FloodBudget {
     pub fn with_round_budget(mut self, rounds: usize) -> Self {
         self.round_budget = Some(rounds);
         self
-    }
-
-    /// Stops flooding once `bytes` junk bytes have been injected in total.
-    pub fn with_byte_budget(mut self, bytes: u64) -> Self {
-        self.byte_budget = Some(bytes);
-        self
-    }
-
-    /// Total junk bytes injected so far.
-    pub fn bytes_sent(&self) -> u64 {
-        self.bytes_sent
     }
 }
 
@@ -450,13 +421,6 @@ impl Adversary for FloodBudget {
         self.rounds_run += 1;
         for &from in &self.corrupted {
             for &to in &self.victims {
-                if self
-                    .byte_budget
-                    .is_some_and(|budget| self.bytes_sent + self.junk.len() as u64 > budget)
-                {
-                    return;
-                }
-                self.bytes_sent += self.junk.len() as u64;
                 ctx.send_as(from, to, self.junk.clone());
             }
         }
@@ -659,14 +623,6 @@ mod tests {
     }
 
     #[test]
-    fn abort_at_subset_keeps_the_rest_talking() {
-        let mut adv = AbortAt::new(Scripted::new(&[0, 1], &[2], 7), 1).with_parties([PartyId(0)]);
-        let late = run_round(&mut adv, 3);
-        assert_eq!(late.len(), 1);
-        assert_eq!(late[0].from, PartyId(1));
-    }
-
-    #[test]
     fn withhold_drops_only_selected_recipients() {
         let mut adv = Withhold::new(Scripted::new(&[0], &[1, 2, 3], 7), [PartyId(2)]);
         let out = run_round(&mut adv, 0);
@@ -690,16 +646,12 @@ mod tests {
     }
 
     #[test]
-    fn flood_budget_respects_round_and_byte_budgets() {
-        let mut adv = FloodBudget::new([PartyId(0)], [PartyId(1), PartyId(2)], 10)
-            .with_round_budget(2)
-            .with_byte_budget(30);
-        // Round 0: 2 envelopes (20 bytes). Round 1: byte budget allows one
-        // more envelope (30 total). Round 2+: round budget exhausted.
+    fn flood_budget_respects_the_round_budget() {
+        let mut adv =
+            FloodBudget::new([PartyId(0)], [PartyId(1), PartyId(2)], 10).with_round_budget(2);
         assert_eq!(run_round(&mut adv, 0).len(), 2);
-        assert_eq!(run_round(&mut adv, 1).len(), 1);
+        assert_eq!(run_round(&mut adv, 1).len(), 2);
         assert!(run_round(&mut adv, 2).is_empty());
-        assert_eq!(adv.bytes_sent(), 30);
     }
 
     #[test]
@@ -739,11 +691,8 @@ mod tests {
     #[test]
     fn dormant_rounds_do_not_consume_flood_budgets() {
         // A budgeted flood behind a trigger must deliver its full budget
-        // once armed: dormant rounds charge neither the round budget nor
-        // the byte budget.
-        let flood = FloodBudget::new([PartyId(0)], [PartyId(1)], 10)
-            .with_round_budget(2)
-            .with_byte_budget(20);
+        // once armed: dormant rounds do not charge the round budget.
+        let flood = FloodBudget::new([PartyId(0)], [PartyId(1)], 10).with_round_budget(2);
         let mut adv =
             TriggerWhen::new(Box::new(flood), |round, _| round >= 3).without_dormant_observation();
         for round in 0..3 {
@@ -752,7 +701,7 @@ mod tests {
         // Armed at round 3: two full flooding rounds follow.
         assert_eq!(run_round(&mut adv, 3).len(), 1);
         assert_eq!(run_round(&mut adv, 4).len(), 1);
-        assert!(run_round(&mut adv, 5).is_empty(), "budgets exhausted");
+        assert!(run_round(&mut adv, 5).is_empty(), "budget exhausted");
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub use party::{
     set_naive_fanout_for_tests, AbortReason, Milestone, MilestoneEvent, MilestoneKind, PartyCtx,
     PartyId, PartyLogic, SendOp, Step,
 };
-pub use payload::{Payload, PayloadAllocStats, PayloadBuilder};
+pub use payload::{Payload, PayloadAllocStats};
 pub use simulator::{
     InlineDriver, PartyOutcome, PartyStep, PartyTask, RoundDriver, RunResult, SimConfig, Simulator,
 };

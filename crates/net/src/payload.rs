@@ -11,8 +11,8 @@
 //!
 //! Two construction paths exist:
 //!
-//! * [`Payload::encode`] / [`PayloadBuilder`] — wrap `mpca-wire` encoding and
-//!   materialise the bytes exactly once;
+//! * [`Payload::encode`] — wraps `mpca-wire` encoding and materialises the
+//!   bytes exactly once;
 //! * [`Payload::slice`] / [`Payload::prefix`] / [`Payload::suffix`] — O(1)
 //!   re-framing of an existing buffer (the window narrows, the backing
 //!   allocation is shared).
@@ -368,62 +368,6 @@ impl Decode for Payload {
     }
 }
 
-/// An incremental builder: `mpca-wire` encoding that terminates in a
-/// [`Payload`] instead of a `Vec<u8>`.
-///
-/// Use it when a message body is assembled from several parts; for the
-/// common single-value case, [`Payload::encode`] is shorter.
-#[derive(Debug, Default)]
-pub struct PayloadBuilder {
-    writer: Writer,
-}
-
-impl PayloadBuilder {
-    /// Creates an empty builder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates a builder with pre-allocated capacity.
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self {
-            writer: Writer::with_capacity(capacity),
-        }
-    }
-
-    /// Appends the canonical encoding of `value`.
-    pub fn push<T: Encode + ?Sized>(&mut self, value: &T) -> &mut Self {
-        value.encode(&mut self.writer);
-        self
-    }
-
-    /// Appends raw bytes without a length prefix.
-    pub fn push_raw(&mut self, bytes: &[u8]) -> &mut Self {
-        self.writer.put_bytes(bytes);
-        self
-    }
-
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.writer.len()
-    }
-
-    /// `true` when nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.writer.is_empty()
-    }
-
-    /// Access to the underlying writer for encodings that need it directly.
-    pub fn writer(&mut self) -> &mut Writer {
-        &mut self.writer
-    }
-
-    /// Finishes the builder, materialising the payload (counted once).
-    pub fn build(self) -> Payload {
-        Payload::from_vec(self.writer.into_bytes())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -482,23 +426,6 @@ mod tests {
             let as_vec: Vec<u8> = mpca_wire::from_bytes(&mpca_wire::to_bytes(&payload)).unwrap();
             assert_eq!(as_vec, bytes);
         }
-    }
-
-    #[test]
-    fn builder_materialises_once() {
-        let before = PayloadAllocStats::snapshot();
-        let mut b = PayloadBuilder::with_capacity(32);
-        b.push(&42u64).push(&"hi".to_string()).push_raw(&[9, 9]);
-        assert_eq!(b.len(), 8 + 3 + 2);
-        assert!(!b.is_empty());
-        b.writer().put_u8(1);
-        let payload = b.build();
-        let delta = PayloadAllocStats::snapshot().since(before);
-        assert!(delta.buffers >= 1);
-        assert!(delta.bytes >= payload.len() as u64);
-
-        let mut r = Reader::new(&payload);
-        assert_eq!(r.get_u64().unwrap(), 42);
     }
 
     #[test]

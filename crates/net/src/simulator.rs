@@ -725,10 +725,6 @@ impl<L: PartyLogic> Simulator<L> {
             queue.clear();
         }
         self.round = round + 1;
-
-        if self.outcomes.len() == self.honest.len() {
-            self.stats.set_rounds(self.round);
-        }
         if let Some(start) = round_timer {
             self.phase_wall_us[wall_phase.index()] += start.elapsed().as_micros() as u64;
         }

@@ -23,8 +23,6 @@ use crate::party::PartyId;
 pub struct CommStats {
     /// Per-party counters, indexed by party id.
     parties: Vec<PartyStats>,
-    /// Number of rounds executed.
-    rounds: usize,
 }
 
 /// One party's slot in [`CommStats`].
@@ -88,10 +86,9 @@ impl PartialEq for CommStats {
     fn eq(&self, other: &Self) -> bool {
         let empty = PartyStats::default();
         let slots = self.parties.len().max(other.parties.len());
-        self.rounds == other.rounds
-            && (0..slots).all(|i| {
-                self.parties.get(i).unwrap_or(&empty) == other.parties.get(i).unwrap_or(&empty)
-            })
+        (0..slots).all(|i| {
+            self.parties.get(i).unwrap_or(&empty) == other.parties.get(i).unwrap_or(&empty)
+        })
     }
 }
 
@@ -139,16 +136,6 @@ impl CommStats {
         }
     }
 
-    /// Sets the number of rounds executed.
-    pub fn set_rounds(&mut self, rounds: usize) {
-        self.rounds = rounds;
-    }
-
-    /// Number of rounds executed.
-    pub fn rounds(&self) -> usize {
-        self.rounds
-    }
-
     /// Total bytes sent by the given set of parties.
     pub fn bytes_sent_by(&self, parties: &BTreeSet<PartyId>) -> u64 {
         parties.iter().map(|p| self.bytes_sent_by_party(*p)).sum()
@@ -157,11 +144,6 @@ impl CommStats {
     /// Total bytes sent by everyone.
     pub fn total_bytes(&self) -> u64 {
         self.parties.iter().map(|p| p.bytes_sent).sum()
-    }
-
-    /// Total bits sent by everyone (the paper's unit).
-    pub fn total_bits(&self) -> u64 {
-        self.total_bytes() * 8
     }
 
     /// Total messages sent by everyone.
@@ -233,39 +215,6 @@ impl CommStats {
             .max()
             .unwrap_or(0)
     }
-
-    /// The locality over all parties that appear in the statistics.
-    pub fn max_locality_all(&self) -> usize {
-        (0..self.parties.len())
-            .map(|i| self.peer_count(PartyId(i), None))
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Average number of peers contacted over `parties`.
-    pub fn mean_locality(&self, parties: &BTreeSet<PartyId>) -> f64 {
-        if parties.is_empty() {
-            return 0.0;
-        }
-        let total: usize = parties.iter().map(|p| self.peer_count(*p, None)).sum();
-        total as f64 / parties.len() as f64
-    }
-
-    /// Merges another statistics object into this one (used when a protocol
-    /// is composed of sequentially executed sub-protocols).
-    pub fn merge(&mut self, other: &CommStats) {
-        if other.parties.len() > self.parties.len() {
-            self.parties
-                .resize_with(other.parties.len(), PartyStats::default);
-        }
-        for (mine, theirs) in self.parties.iter_mut().zip(&other.parties) {
-            mine.bytes_sent += theirs.bytes_sent;
-            mine.messages_sent += theirs.messages_sent;
-            mine.sent_to.union_with(&theirs.sent_to);
-            mine.received_from.union_with(&theirs.received_from);
-        }
-        self.rounds += other.rounds;
-    }
 }
 
 #[cfg(test)]
@@ -284,7 +233,6 @@ mod tests {
         stats.record_send(PartyId(0), PartyId(2), 20);
         stats.record_send(PartyId(1), PartyId(0), 5);
         assert_eq!(stats.total_bytes(), 35);
-        assert_eq!(stats.total_bits(), 280);
         assert_eq!(stats.total_messages(), 3);
         assert_eq!(stats.bytes_sent_by_party(PartyId(0)), 30);
         assert_eq!(stats.bytes_sent_by(&set(&[0, 1])), 35);
@@ -303,14 +251,11 @@ mod tests {
         stats.record_send(PartyId(1), PartyId(0), 1);
         assert_eq!(stats.max_locality(&set(&[0, 1, 2, 3])), 3);
         assert_eq!(stats.max_locality(&set(&[2, 3])), 1);
-        assert_eq!(stats.max_locality_all(), 3);
         // Within {1, 2, 3}, party 0's fan-out stops counting: each member
         // only contacted party 0, which is outside the set.
         assert_eq!(stats.max_locality_within(&set(&[1, 2, 3])), 0);
         assert_eq!(stats.max_locality_within(&set(&[0, 1, 2, 3])), 3);
         assert_eq!(stats.max_locality_within(&BTreeSet::new()), 0);
-        assert!((stats.mean_locality(&set(&[0, 1, 2, 3])) - 1.5).abs() < 1e-9);
-        assert_eq!(stats.mean_locality(&BTreeSet::new()), 0.0);
     }
 
     #[test]
@@ -345,7 +290,6 @@ mod tests {
         messages_sent: BTreeMap<PartyId, u64>,
         sent_to: BTreeMap<PartyId, BTreeSet<PartyId>>,
         received_from: BTreeMap<PartyId, BTreeSet<PartyId>>,
-        rounds: usize,
     }
 
     impl MapStats {
@@ -362,51 +306,16 @@ mod tests {
             peers.remove(&party);
             peers
         }
-
-        fn merge(&mut self, other: &MapStats) {
-            for (party, bytes) in &other.bytes_sent {
-                *self.bytes_sent.entry(*party).or_default() += bytes;
-            }
-            for (party, msgs) in &other.messages_sent {
-                *self.messages_sent.entry(*party).or_default() += msgs;
-            }
-            for (party, peers) in &other.sent_to {
-                self.sent_to.entry(*party).or_default().extend(peers);
-            }
-            for (party, peers) in &other.received_from {
-                self.received_from.entry(*party).or_default().extend(peers);
-            }
-            self.rounds += other.rounds;
-        }
-
-        fn max_locality_all(&self) -> usize {
-            let all: BTreeSet<PartyId> = self
-                .sent_to
-                .keys()
-                .chain(self.received_from.keys())
-                .copied()
-                .collect();
-            all.iter()
-                .map(|p| self.peers_of(*p).len())
-                .max()
-                .unwrap_or(0)
-        }
     }
 
     /// Checks every accessor of `dense` against `model`, over `universe`
     /// party ids and a few subsets of them.
     fn assert_agrees(dense: &CommStats, model: &MapStats, universe: usize) {
-        assert_eq!(dense.rounds(), model.rounds);
         assert_eq!(dense.total_bytes(), model.bytes_sent.values().sum::<u64>());
-        assert_eq!(
-            dense.total_bits(),
-            8 * model.bytes_sent.values().sum::<u64>()
-        );
         assert_eq!(
             dense.total_messages(),
             model.messages_sent.values().sum::<u64>()
         );
-        assert_eq!(dense.max_locality_all(), model.max_locality_all());
         for i in 0..universe {
             let p = PartyId(i);
             let bytes = model.bytes_sent.get(&p).copied().unwrap_or(0);
@@ -432,12 +341,6 @@ mod tests {
                 .max()
                 .unwrap_or(0);
             assert_eq!(dense.max_locality_within(parties), within);
-            let mean = if parties.is_empty() {
-                0.0
-            } else {
-                peers.iter().map(BTreeSet::len).sum::<usize>() as f64 / parties.len() as f64
-            };
-            assert_eq!(dense.mean_locality(parties), mean);
         }
     }
 
@@ -476,9 +379,6 @@ mod tests {
                 assert_eq!(dense[0] == dense[1], model[0] == model[1], "trial {trial}");
             }
             for side in 0..2 {
-                let rounds = next(4);
-                dense[side].set_rounds(rounds);
-                model[side].rounds = rounds;
                 assert_agrees(&dense[side], &model[side], universe);
                 // Sends commute: the same sends in reverse order compare
                 // equal, and one more zero-byte send does not.
@@ -486,39 +386,16 @@ mod tests {
                 for (from, recipients, bytes) in sends[side].iter().rev() {
                     reversed.record_fanout(*from, recipients, *bytes);
                 }
-                reversed.set_rounds(rounds);
                 assert_eq!(reversed, dense[side]);
                 reversed.record_send(PartyId(0), PartyId(universe - 1), 0);
                 assert_ne!(reversed, dense[side]);
             }
             assert_eq!(dense[0] == dense[1], model[0] == model[1], "trial {trial}");
-            let [mut merged, other] = dense;
-            merged.merge(&other);
-            let [mut merged_model, other_model] = model;
-            merged_model.merge(&other_model);
-            assert_agrees(&merged, &merged_model, universe);
-            assert_eq!(merged == other, merged_model == other_model);
-            // A merge of nothing leaves the statistics equal to themselves,
-            // however far the other side's table reaches.
-            let mut padded = merged.clone();
-            padded.merge(&CommStats::new());
+            // Growing the table with empty slots leaves the statistics
+            // equal to themselves, however far it reaches.
+            let mut padded = dense[0].clone();
             padded.slot(PartyId(universe + 100));
-            assert_eq!(padded, merged);
+            assert_eq!(padded, dense[0]);
         }
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let mut a = CommStats::new();
-        a.record_send(PartyId(0), PartyId(1), 10);
-        a.set_rounds(2);
-        let mut b = CommStats::new();
-        b.record_send(PartyId(0), PartyId(2), 7);
-        b.record_send(PartyId(1), PartyId(0), 3);
-        b.set_rounds(5);
-        a.merge(&b);
-        assert_eq!(a.total_bytes(), 20);
-        assert_eq!(a.peers_of(PartyId(0)), set(&[1, 2]));
-        assert_eq!(a.rounds(), 7);
     }
 }

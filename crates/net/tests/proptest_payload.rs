@@ -3,7 +3,7 @@
 //! replaced — otherwise the refactor would move the paper's communication
 //! numbers.
 
-use mpca_net::{Payload, PayloadBuilder};
+use mpca_net::Payload;
 use proptest::prelude::*;
 
 proptest! {
@@ -43,22 +43,6 @@ proptest! {
         let suffix = payload.suffix(lo);
         prop_assert_eq!(prefix.as_slice(), &bytes[..lo]);
         prop_assert_eq!(suffix.as_slice(), &bytes[lo..]);
-    }
-
-    /// The builder produces the same bytes as the equivalent `to_bytes`
-    /// calls concatenated.
-    #[test]
-    fn builder_matches_direct_encoding(
-        a in any::<u64>(),
-        b in proptest::collection::vec(any::<u8>(), 0..128),
-    ) {
-        let mut builder = PayloadBuilder::new();
-        builder.push(&a).push(&b);
-        let payload = builder.build();
-
-        let mut expected = mpca_wire::to_bytes(&a);
-        expected.extend(mpca_wire::to_bytes(&b));
-        prop_assert_eq!(payload.as_slice(), &expected[..]);
     }
 
     /// Cloning is free: every clone shares the original's backing buffer

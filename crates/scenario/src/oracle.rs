@@ -1,7 +1,7 @@
 //! The security-property oracle: every executed scenario is checked against
 //! the paper's guarantees.
 //!
-//! [`evaluate`] checks a pool [`SessionReport`] (outcome digests,
+//! [`evaluate`] checks a pool [`SessionReport`] (outcome digests with their
 //! structured abort reasons, `CommStats`) against six predicates drawn
 //! from the paper's §3.1 model and theorem statements:
 //!
@@ -11,14 +11,14 @@
 //! 2. [`IdentifiedAbort`](Property::IdentifiedAbort) — every honest party
 //!    either produced an output or aborted with a recorded, consistent
 //!    [`AbortReason`](mpca_net::AbortReason): aborts are diagnosable, never
-//!    anonymous. For **traced** sessions the predicate is *behavioural*:
-//!    the reasons are cross-checked against the execution trace's
-//!    `Aborted { reason }` milestones, which the simulator synthesises on
-//!    the termination step itself — a recording path independent of the
-//!    report's outcome plumbing, so agreement between the two witnesses the
-//!    protocol's actual abort behaviour. Untraced sessions fall back to the
-//!    historical plumbing check (digest/reason consistency within the
-//!    report alone).
+//!    anonymous. Every aborted [`OutcomeDigest`] carries its reason by
+//!    construction, so the predicate has something to check only for
+//!    **traced** sessions, where it is *behavioural*: the reasons are
+//!    cross-checked against the execution trace's `Aborted { reason }`
+//!    milestones, which the simulator synthesises on the termination step
+//!    itself — a recording path independent of the report's outcome
+//!    plumbing, so agreement between the two witnesses the protocol's
+//!    actual abort behaviour. Untraced sessions hold.
 //! 3. [`FloodingRule`](Property::FloodingRule) — adversarial traffic is
 //!    never charged to the protocol's communication statistics (§3.1's
 //!    flooding rule: junk can force an abort but cannot inflate the
@@ -192,7 +192,7 @@ impl ScenarioOutcome {
             }
             Expectation::DetectsEquivocation => {
                 use mpca_net::AbortReason;
-                let detected = self.report.abort_reasons.values().any(|r| {
+                let detected = self.report.aborts().any(|(_, r)| {
                     matches!(
                         r,
                         AbortReason::Equivocation(_) | AbortReason::EqualityTestFailed(_)
@@ -200,9 +200,8 @@ impl ScenarioOutcome {
                 });
                 let parse_failure = self
                     .report
-                    .abort_reasons
-                    .values()
-                    .any(|r| matches!(r, AbortReason::Malformed(_)));
+                    .aborts()
+                    .any(|(_, r)| matches!(r, AbortReason::Malformed(_)));
                 self.holds() && detected && !parse_failure
             }
         }
@@ -236,7 +235,7 @@ impl ScenarioOutcome {
             self.scenario.h.to_string(),
             self.report.rounds.to_string(),
             self.honest_bits().to_string(),
-            self.report.abort_reasons.len().to_string(),
+            self.report.aborts().count().to_string(),
         ];
         for check in &self.checks {
             row.push(match check.verdict {
@@ -274,7 +273,6 @@ fn charged_honest_bits(report: &SessionReport) -> u64 {
 /// use mpca_net::CommStats;
 /// use mpca_net::PartyId;
 /// use mpca_scenario::{oracle, AdversarySpec, ScenarioPlan};
-/// use std::collections::BTreeMap;
 /// use std::time::Duration;
 ///
 /// let scenario = ScenarioPlan::new("doc", ProtocolKind::UncheckedSum, AdversarySpec::Honest)
@@ -289,7 +287,6 @@ fn charged_honest_bits(report: &SessionReport) -> u64 {
 ///         (PartyId(2), OutcomeDigest::Output("[7]".into())),
 ///     ]
 ///     .into(),
-///     abort_reasons: BTreeMap::new(),
 ///     stats: CommStats::new(),
 ///     rounds: 2,
 ///     peak_inbox_bytes: 0,
@@ -355,100 +352,57 @@ fn check_agreement(report: &SessionReport) -> PropertyCheck {
 }
 
 fn check_identified_abort(report: &SessionReport) -> PropertyCheck {
+    let check = |verdict, details| PropertyCheck {
+        property: Property::IdentifiedAbort,
+        verdict,
+        details,
+    };
+    // Every aborted digest carries its reason; without a trace there is no
+    // second witness to hold it against.
+    let Some(trace) = &report.trace else {
+        let aborts = report.aborts().count();
+        return check(
+            Verdict::Holds,
+            format!("{aborts} aborts, all with recorded reasons"),
+        );
+    };
     // Behavioural mode: a traced session carries the abort reasons the
     // simulator synthesised into the trace at the termination step —
     // derive the verdict from those, independently of the report's
-    // digest/reason plumbing, and require the two sources to agree.
-    if let Some(trace) = &report.trace {
-        for (id, digest) in &report.outcomes {
-            match digest {
-                OutcomeDigest::Aborted(rendered) => match trace.aborts.get(id) {
-                    Some(reason) if reason.to_string() == *rendered => {}
-                    Some(_) => {
-                        return PropertyCheck {
-                            property: Property::IdentifiedAbort,
-                            verdict: Verdict::Violated,
-                            details: format!("party {id}'s trace milestone contradicts its digest"),
-                        }
-                    }
-                    None => {
-                        return PropertyCheck {
-                            property: Property::IdentifiedAbort,
-                            verdict: Verdict::Violated,
-                            details: format!(
-                                "party {id} aborted without an Aborted milestone in the trace"
-                            ),
-                        }
-                    }
-                },
-                OutcomeDigest::Output(_) => {
-                    if trace.aborts.contains_key(id) {
-                        return PropertyCheck {
-                            property: Property::IdentifiedAbort,
-                            verdict: Verdict::Violated,
-                            details: format!(
-                                "party {id} output a value yet the trace records an abort"
-                            ),
-                        };
-                    }
-                }
-            }
-        }
-        if trace.aborts != report.abort_reasons {
-            return PropertyCheck {
-                property: Property::IdentifiedAbort,
-                verdict: Verdict::Violated,
-                details: "trace-derived abort reasons diverge from the report's".into(),
-            };
-        }
-        return PropertyCheck {
-            property: Property::IdentifiedAbort,
-            verdict: Verdict::Holds,
-            details: format!(
-                "{} aborts, each matching an Aborted{{reason}} trace milestone",
-                trace.aborts.len()
-            ),
-        };
-    }
-    // Untraced fallback: internal consistency of the report alone.
+    // outcome plumbing, and require the two sources to agree.
     for (id, digest) in &report.outcomes {
-        match digest {
-            OutcomeDigest::Aborted(rendered) => match report.abort_reasons.get(id) {
-                Some(reason) if reason.to_string() == *rendered => {}
-                Some(_) => {
-                    return PropertyCheck {
-                        property: Property::IdentifiedAbort,
-                        verdict: Verdict::Violated,
-                        details: format!("party {id}'s recorded reason contradicts its digest"),
-                    }
-                }
-                None => {
-                    return PropertyCheck {
-                        property: Property::IdentifiedAbort,
-                        verdict: Verdict::Violated,
-                        details: format!("party {id} aborted without a recorded reason"),
-                    }
-                }
-            },
-            OutcomeDigest::Output(_) => {
-                if report.abort_reasons.contains_key(id) {
-                    return PropertyCheck {
-                        property: Property::IdentifiedAbort,
-                        verdict: Verdict::Violated,
-                        details: format!("party {id} output a value yet has an abort reason"),
-                    };
-                }
+        let contradiction = match (digest, trace.aborts.get(id)) {
+            (OutcomeDigest::Aborted(reason), Some(traced)) if reason == traced => continue,
+            (OutcomeDigest::Output(_), None) => continue,
+            (OutcomeDigest::Aborted(_), Some(_)) => {
+                format!("party {id}'s trace milestone contradicts its digest")
             }
-        }
+            (OutcomeDigest::Aborted(_), None) => {
+                format!("party {id} aborted without an Aborted milestone in the trace")
+            }
+            (OutcomeDigest::Output(_), Some(_)) => {
+                format!("party {id} output a value yet the trace records an abort")
+            }
+        };
+        return check(Verdict::Violated, contradiction);
     }
-    PropertyCheck {
-        property: Property::IdentifiedAbort,
-        verdict: Verdict::Holds,
-        details: format!(
-            "{} aborts, all with recorded reasons",
-            report.abort_reasons.len()
+    if trace
+        .aborts
+        .keys()
+        .any(|id| !report.outcomes.contains_key(id))
+    {
+        return check(
+            Verdict::Violated,
+            "trace-derived abort reasons diverge from the report's".into(),
+        );
+    }
+    check(
+        Verdict::Holds,
+        format!(
+            "{} aborts, each matching an Aborted{{reason}} trace milestone",
+            trace.aborts.len()
         ),
-    }
+    )
 }
 
 fn check_flooding(report: &SessionReport, corrupted: &BTreeSet<PartyId>) -> PropertyCheck {
@@ -561,22 +515,9 @@ mod tests {
     }
 
     fn report(outcomes: Vec<(usize, OutcomeDigest)>) -> SessionReport {
-        let outcomes: BTreeMap<PartyId, OutcomeDigest> =
-            outcomes.into_iter().map(|(i, d)| (PartyId(i), d)).collect();
-        let abort_reasons = outcomes
-            .iter()
-            .filter_map(|(id, d)| match d {
-                OutcomeDigest::Aborted(s) => Some((
-                    *id,
-                    AbortReason::Malformed(s.trim_start_matches("malformed message: ").into()),
-                )),
-                OutcomeDigest::Output(_) => None,
-            })
-            .collect();
         SessionReport {
             label: "t".into(),
-            outcomes,
-            abort_reasons,
+            outcomes: outcomes.into_iter().map(|(i, d)| (PartyId(i), d)).collect(),
             stats: CommStats::new(),
             rounds: 2,
             peak_inbox_bytes: 0,
@@ -596,7 +537,10 @@ mod tests {
             report(vec![
                 (0, OutcomeDigest::Output("[7]".into())),
                 (1, OutcomeDigest::Output("[7]".into())),
-                (2, OutcomeDigest::Aborted("malformed message: x".into())),
+                (
+                    2,
+                    OutcomeDigest::Aborted(AbortReason::Malformed("x".into())),
+                ),
             ]),
         );
         assert!(outcome.holds(), "{:?}", outcome.checks);
@@ -620,12 +564,19 @@ mod tests {
     }
 
     #[test]
-    fn missing_abort_reason_is_flagged() {
+    fn abort_missing_from_the_trace_is_flagged() {
         let mut r = report(vec![(
             0,
-            OutcomeDigest::Aborted("malformed message: x".into()),
+            OutcomeDigest::Aborted(AbortReason::Malformed("x".into())),
         )]);
-        r.abort_reasons.clear();
+        r.trace = Some(mpca_trace::TraceSummary {
+            digest: "aa".into(),
+            events: 1,
+            milestones: 0,
+            injected_sends: 0,
+            aborts: BTreeMap::new(),
+            phase_bytes: mpca_metrics::PhaseBytes::new(),
+        });
         let outcome = evaluate(scenario(), r);
         assert_eq!(
             outcome.check(Property::IdentifiedAbort).verdict,

@@ -108,11 +108,13 @@ impl TraceFile {
         out
     }
 
-    /// Parses a rendered document.
+    /// Parses a rendered document. Every session line must carry all four
+    /// fields, and their number must match the header's `sessions` count.
     ///
     /// # Errors
     ///
-    /// Returns a description of the first malformed line.
+    /// Returns a description of the first malformed line, or of a session
+    /// count that disagrees with the header.
     pub fn parse(text: &str) -> Result<Self, String> {
         let mut lines = text.lines().filter(|l| !l.trim().is_empty());
         let header = Json::parse(lines.next().ok_or("empty trace file")?)
@@ -122,12 +124,10 @@ impl TraceFile {
         }
         let text_of =
             |line: &Json, key: &str| line.get(key).and_then(Json::as_str).map(String::from);
-        let count_of = |line: &Json, key: &str| line.get(key).and_then(Json::as_u64).unwrap_or(0);
+        let count_of = |line: &Json, key: &str| line.get(key).and_then(Json::as_u64);
         let campaign = text_of(&header, "campaign").ok_or("header lacks a campaign name")?;
-        let seed = header
-            .get("seed")
-            .and_then(Json::as_u64)
-            .ok_or("header lacks a seed")?;
+        let seed = count_of(&header, "seed").ok_or("header lacks a seed")?;
+        let count = count_of(&header, "sessions").ok_or("header lacks a session count")?;
         let backend = text_of(&header, "backend").unwrap_or_else(|| "unknown".into());
         let mut sessions = Vec::new();
         for line in lines {
@@ -136,12 +136,22 @@ impl TraceFile {
                 .ok_or_else(|| format!("session line lacks a label: {line}"))?;
             let digest = text_of(&record, "digest")
                 .ok_or_else(|| format!("session line lacks a digest: {line}"))?;
+            let events = count_of(&record, "events")
+                .ok_or_else(|| format!("session line lacks an event count: {line}"))?;
+            let milestones = count_of(&record, "milestones")
+                .ok_or_else(|| format!("session line lacks a milestone count: {line}"))?;
             sessions.push(TraceRecord {
                 label,
                 digest,
-                events: count_of(&record, "events"),
-                milestones: count_of(&record, "milestones"),
+                events,
+                milestones,
             });
+        }
+        if sessions.len() as u64 != count {
+            return Err(format!(
+                "header promises {count} sessions, found {}",
+                sessions.len()
+            ));
         }
         Ok(Self {
             campaign,
@@ -250,6 +260,29 @@ mod tests {
              {\"label\":\"a\"}\n"
         )
         .is_err());
+        // A well-formed file, then one edit at a time.
+        let good = TraceFile::new(
+            "x",
+            0,
+            "sequential",
+            vec![("a".to_string(), summary("aa", 1))],
+        )
+        .render();
+        assert!(TraceFile::parse(&good).is_ok());
+        for (edit, broken) in [
+            ("no event count", good.replace(",\"events\":1", "")),
+            ("no milestone count", good.replace(",\"milestones\":0", "")),
+            (
+                "wrong session count",
+                good.replace("\"sessions\":1", "\"sessions\":2"),
+            ),
+        ] {
+            assert_ne!(broken, good, "{edit}: the edit must apply");
+            assert!(
+                TraceFile::parse(&broken).is_err(),
+                "{edit} must be rejected"
+            );
+        }
     }
 
     #[test]

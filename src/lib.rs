@@ -20,8 +20,7 @@
 //! * [`metrics`] — the metrics plane: a process-wide low-overhead registry
 //!   (atomic counters, log₂ histograms, span timers) and the
 //!   milestone-driven phase clock that attributes every charged byte and
-//!   wall-microsecond to a protocol phase, with JSON + Prometheus
-//!   exposition,
+//!   wall-microsecond to a protocol phase, with JSON snapshot exposition,
 //! * [`trace`] — the trace plane: canonical digests over the simulator's
 //!   structured event stream ([`TraceSummary`](trace::TraceSummary)),
 //!   frame-tagged transcripts, and the `campaign --record` / `--replay`

@@ -162,7 +162,7 @@ fn budget_curves_match_the_golden_calibration_sweep() {
     // legacy hand constants — a real tightening.
     for point in &measured {
         let params = ProtocolParams::new(point.n, point.h);
-        let curve = BudgetCurve::for_kind(point.kind).expect("fixture is loaded");
+        let curve = BudgetCurve::for_kind(point.kind);
         let budget = curve.comm_budget_bits(&params, point.payload_bytes);
         let legacy = point
             .kind

@@ -89,7 +89,6 @@ proptest! {
         prop_assert!(honest.len() >= 2);
         let mut rigged = CommStats::new();
         rigged.record_send(honest[0], honest[1], inflated_bytes as usize);
-        rigged.set_rounds(report.rounds);
         report.stats = rigged;
 
         let outcome = oracle::evaluate(scenario, report);

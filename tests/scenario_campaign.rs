@@ -71,7 +71,7 @@ fn silent_broadcast_sender_yields_identified_missing_message_aborts() {
     let report = campaign.run(Parallel::with_threads(2), 2).unwrap();
     assert!(report.all_as_expected(), "{}", report.render());
     let outcome = &report.outcomes[0];
-    assert_eq!(outcome.report.abort_reasons.len(), 7, "all receivers abort");
+    assert_eq!(outcome.report.aborts().count(), 7, "all receivers abort");
     for id in 1..8 {
         assert!(
             matches!(
@@ -104,7 +104,7 @@ fn withholding_forces_selective_aborts_without_breaking_agreement() {
     assert!(report.all_as_expected(), "{}", report.render());
     let outcome = &report.outcomes[0];
     assert!(
-        !outcome.report.abort_reasons.is_empty(),
+        outcome.report.any_abort(),
         "withholding must force at least one abort"
     );
     assert_eq!(

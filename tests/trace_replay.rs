@@ -3,30 +3,36 @@
 //! (never a parse error), milestone-armed triggers, and flood junk tagged
 //! distinctly enough to recompute the exclusion logic from the trace alone.
 //!
-//! The tiny sweep's recording at seed 0 is pinned in
-//! `tests/golden/sweep_tiny_trace.json`, the file
-//! `campaign --sweep --tiny --seed 0 --record` writes. Its digests fold
-//! every send, milestone and abort text of the sweep's adversarial
-//! sessions. Regenerate it after an *intentional* protocol change with:
+//! The sweeps' recordings at seed 0 are pinned in
+//! `tests/golden/sweep_tiny_trace.json` and
+//! `tests/golden/sweep_full_trace.json`, the files
+//! `campaign --sweep --tiny --seed 0 --record` and
+//! `campaign --sweep --seed 0 --record` write. Their digests fold every
+//! send, milestone and abort text of the sweeps' adversarial sessions.
+//! Regenerate them after an *intentional* protocol change with:
 //!
 //! ```sh
-//! MPCA_BLESS=1 cargo test --test trace_replay tiny_sweep
+//! MPCA_BLESS=1 cargo test --test trace_replay sweep
 //! ```
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use mpc_aborts::engine::{Parallel, Sequential};
 use mpc_aborts::net::{AbortReason, MilestoneKind, PartyId};
 use mpc_aborts::protocols::ProtocolKind;
 use mpc_aborts::scenario::{
-    tiny_sweep_campaign, AdversarySpec, Campaign, CorruptionSpec, Expectation, Property,
-    ScenarioPlan, TriggerSpec, Verdict,
+    sweep_campaign, tiny_sweep_campaign, AdversarySpec, Campaign, CorruptionSpec, Expectation,
+    Property, ScenarioPlan, TriggerSpec, Verdict,
 };
 use mpc_aborts::trace::TraceFile;
 
 const SWEEP_TRACE_FIXTURE: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/golden/sweep_tiny_trace.json"
+);
+const SWEEP_FULL_TRACE_FIXTURE: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/golden/sweep_full_trace.json"
 );
 
 #[test]
@@ -100,6 +106,36 @@ fn tiny_sweep_records_and_replays_byte_identically_across_backends() {
 }
 
 #[test]
+fn full_sweep_recording_matches_the_golden_digests() {
+    // Recorded the way `campaign --sweep --seed 0 --record` records it:
+    // sequential backend, digest-only summaries.
+    let campaign = sweep_campaign(0);
+    let report = campaign
+        .run_configured(Sequential, 1, true, false, |_| {})
+        .expect("full sweep");
+    assert!(report.all_as_expected(), "{}", report.render());
+    let rendered = TraceFile::new(
+        campaign.name.clone(),
+        0,
+        report.backend,
+        report.trace_summaries(),
+    )
+    .render();
+    if std::env::var_os("MPCA_BLESS").is_some() {
+        std::fs::write(SWEEP_FULL_TRACE_FIXTURE, &rendered).expect("write golden fixture");
+        eprintln!("blessed {SWEEP_FULL_TRACE_FIXTURE}");
+    } else {
+        let golden = std::fs::read_to_string(SWEEP_FULL_TRACE_FIXTURE)
+            .expect("golden fixture is checked in");
+        assert_eq!(
+            rendered, golden,
+            "the full sweep's trace digests diverged from the golden recording; \
+             regenerate with MPCA_BLESS=1 only for an intentional protocol change"
+        );
+    }
+}
+
+#[test]
 fn frame_equivocation_on_checked_mpc_is_an_identified_abort_not_a_parse_error() {
     let campaign = Campaign::new("eqframe").plan(
         ScenarioPlan::new(
@@ -124,28 +160,30 @@ fn frame_equivocation_on_checked_mpc_is_an_identified_abort_not_a_parse_error() 
 
     // The attack was caught by verification, not by the parser: at least
     // one detection abort, zero Malformed aborts.
+    let abort_reasons: BTreeMap<PartyId, AbortReason> = outcome
+        .report
+        .aborts()
+        .map(|(id, reason)| (id, reason.clone()))
+        .collect();
     assert!(
-        !outcome.report.abort_reasons.is_empty(),
+        !abort_reasons.is_empty(),
         "the split ciphertext view must force aborts"
     );
-    assert!(outcome.report.abort_reasons.values().any(|r| matches!(
+    assert!(abort_reasons.values().any(|r| matches!(
         r,
         AbortReason::EqualityTestFailed(_) | AbortReason::Equivocation(_)
     )));
     assert!(
-        !outcome
-            .report
-            .abort_reasons
+        !abort_reasons
             .values()
             .any(|r| matches!(r, AbortReason::Malformed(_))),
-        "a framing-aware tamper must never fail parsing: {:?}",
-        outcome.report.abort_reasons
+        "a framing-aware tamper must never fail parsing: {abort_reasons:?}"
     );
 
     // The identified-abort predicate ran behaviourally (trace-derived
     // reasons agree with the report's) and holds.
     let trace = outcome.report.trace.as_ref().expect("traced run");
-    assert_eq!(trace.aborts, outcome.report.abort_reasons);
+    assert_eq!(trace.aborts, abort_reasons);
     assert_eq!(
         outcome.check(Property::IdentifiedAbort).verdict,
         Verdict::Holds
