@@ -14,11 +14,6 @@ pub struct Bus {
 }
 
 impl Bus {
-    /// The wires, least-significant bit first.
-    pub fn wires(&self) -> &[Wire] {
-        &self.wires
-    }
-
     /// Bit width.
     pub fn width(&self) -> usize {
         self.wires.len()

@@ -7,10 +7,11 @@
 //!
 //! * the trace plane (`mpca-trace`) tags every recorded envelope with its
 //!   frame tag, turning byte streams into phase-readable transcripts;
-//! * framing-aware adversaries
-//!   ([`Equivocate::with_rewriter`](mpca_net::Equivocate::with_rewriter))
-//!   tamper a *field* inside a frame — the copy still parses, so the attack
-//!   reaches the protocol's verification instead of dying in its parser.
+//! * framing-aware equivocation (a [`ProxyAdversary`](mpca_net::ProxyAdversary)
+//!   rewrite hook that the scenario registry builds from
+//!   [`FrameSchema::tamper`]) tampers a *field* inside a frame — the copy
+//!   still parses, so the attack reaches the protocol's verification
+//!   instead of dying in its parser.
 //!
 //! Families whose executions mix message enums across phases (Theorem 1
 //! mixes committee-election and MPC messages; Theorem 4 adds gossip and

@@ -88,7 +88,7 @@ pub fn unchecked_sum_parties(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpca_net::{Equivocate, ProxyAdversary, SimConfig, Simulator};
+    use mpca_net::{Envelope, Payload, ProxyAdversary, SimConfig, Simulator};
 
     fn values(n: usize) -> Vec<u64> {
         (0..n as u64).map(|i| i * 13 + 1).collect()
@@ -114,10 +114,14 @@ mod tests {
         let vals = values(n);
         let corrupted: BTreeSet<PartyId> = [PartyId(0)].into();
         let corrupt_logic = vec![UncheckedSumParty::new(PartyId(0), n, vals[0])];
-        let adversary = Equivocate::new(
-            Box::new(ProxyAdversary::honest(corrupt_logic, n)),
-            [PartyId(1)],
-        );
+        // P1 alone gets a byte-flipped copy of P0's value.
+        let adversary = ProxyAdversary::new(corrupt_logic, n, |_, envelope: &Envelope| {
+            let mut copy = envelope.clone();
+            if copy.to == PartyId(1) {
+                copy.payload = Payload::from_vec(copy.payload.iter().map(|b| b ^ 0xA5).collect());
+            }
+            vec![copy]
+        });
         let sim = Simulator::new(
             n,
             unchecked_sum_parties(&vals, &corrupted),

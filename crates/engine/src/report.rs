@@ -156,14 +156,6 @@ impl SessionReport {
                 OutcomeDigest::Output(_) => None,
             })
     }
-
-    /// The structured abort reason of `party`, if it aborted.
-    pub fn abort_reason_of(&self, party: PartyId) -> Option<&AbortReason> {
-        match self.outcomes.get(&party)? {
-            OutcomeDigest::Aborted(reason) => Some(reason),
-            OutcomeDigest::Output(_) => None,
-        }
-    }
 }
 
 /// Aggregated result of a [`SessionPool`](crate::SessionPool) batch.
@@ -243,11 +235,6 @@ impl BatchReport {
     /// Batch throughput in protocol rounds per second.
     pub fn rounds_per_sec(&self) -> f64 {
         self.total_rounds() as f64 / self.wall.as_secs_f64().max(1e-9)
-    }
-
-    /// The report submitted under `label`, if any.
-    pub fn session(&self, label: &str) -> Option<&SessionReport> {
-        self.sessions.iter().find(|s| s.label == label)
     }
 
     /// The `q`-quantile (`0.0 ..= 1.0`) of per-session wall-clock, by the
@@ -376,8 +363,6 @@ mod tests {
         assert_eq!(batch.peak_inbox_bytes(), 10);
         assert_eq!(batch.wall_quantile(1.0), Duration::from_millis(1));
         assert!(batch.sessions_per_sec() > 19.0 && batch.sessions_per_sec() < 21.0);
-        assert!(batch.session("a").is_some());
-        assert!(batch.session("zzz").is_none());
         assert!(batch.summary().contains("2 sessions"));
         assert!(batch.summary().contains("7 allocated"));
     }
@@ -460,9 +445,6 @@ mod tests {
             phase_bytes: PhaseBytes::new(),
         };
         let report = SessionReport::from_result("r", result, Duration::ZERO);
-        assert_eq!(report.abort_reason_of(PartyId(1)), Some(&reason));
-        assert_eq!(report.abort_reason_of(PartyId(0)), None);
-        assert_eq!(report.abort_reason_of(PartyId(2)), None);
         assert_eq!(report.aborts().collect::<Vec<_>>(), [(PartyId(1), &reason)]);
         assert_eq!(report.trace, None, "untraced runs digest nothing");
     }

@@ -146,18 +146,6 @@ impl PhaseBytes {
     pub fn iter(&self) -> impl Iterator<Item = (Phase, u64)> + '_ {
         Phase::ALL.into_iter().map(move |p| (p, self.get(p)))
     }
-
-    /// Adds another accumulator phase-wise (batch aggregation).
-    pub fn merge(&mut self, other: &PhaseBytes) {
-        for (i, b) in other.bytes.iter().enumerate() {
-            self.bytes[i] += b;
-        }
-    }
-
-    /// The raw per-phase array, in clock order.
-    pub fn as_array(&self) -> [u64; Phase::COUNT] {
-        self.bytes
-    }
 }
 
 #[cfg(test)]
@@ -192,19 +180,13 @@ mod tests {
     }
 
     #[test]
-    fn phase_bytes_charge_merge_total() {
+    fn phase_bytes_charge_and_total() {
         let mut a = PhaseBytes::new();
         a.charge(Phase::Setup, 10);
         a.charge(Phase::Verification, 5);
         a.charge(Phase::Verification, 5);
         assert_eq!(a.get(Phase::Verification), 10);
         assert_eq!(a.total(), 20);
-
-        let mut b = PhaseBytes::new();
-        b.charge(Phase::Setup, 1);
-        b.merge(&a);
-        assert_eq!(b.get(Phase::Setup), 11);
-        assert_eq!(b.total(), 21);
-        assert_eq!(b.iter().map(|(_, v)| v).sum::<u64>(), b.total());
+        assert_eq!(a.iter().map(|(_, v)| v).sum::<u64>(), a.total());
     }
 }

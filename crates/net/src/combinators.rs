@@ -4,23 +4,16 @@
 //! abort pattern the adversary chooses (Cohen–Haitner–Omri–Rotem style
 //! fairness transformations are defined by exactly this choice), and lower
 //! bounds only bind when the class is stated precisely. The combinators in
-//! this module make those classes first-class values: each one wraps an
-//! inner [`Adversary`] and transforms the envelopes it produces, so a
-//! protocol-specific attack is assembled from reusable pieces instead of a
-//! new hand-rolled struct.
+//! this module make those classes first-class values, so an attack is
+//! assembled from reusable pieces instead of a new hand-rolled struct.
 //!
-//! The canonical base for wrapping is
-//! [`ProxyAdversary::honest`](crate::ProxyAdversary::honest): corrupted
-//! parties run the honest logic, and the wrappers turn that honesty into an
-//! attack —
+//! What corrupted parties send, drop or alter while running the honest
+//! logic is one rewrite hook on a
+//! [`ProxyAdversary`](crate::ProxyAdversary): the crash at a round (the
+//! *selective abort pattern* the paper's model is named after), selective
+//! withholding and equivocation are each such a hook. This module holds
+//! the rest —
 //!
-//! * [`AbortAt`] — honest until a chosen round, then every corrupted party
-//!   crashes (the *selective abort pattern* the paper's model is named
-//!   after);
-//! * [`Withhold`] — honest except messages to selected recipients are
-//!   silently dropped (selective message withholding);
-//! * [`Equivocate`] — selected victims receive tampered copies while
-//!   everyone else receives the true message (equivocation);
 //! * [`FloodBudget`] — a stand-alone flooding base with an optional round
 //!   budget and the junk buffer materialised **once** at construction;
 //! * [`Compose`] — the union of two adversaries (disjoint corruption sets);
@@ -138,217 +131,6 @@ impl Adversary for Compose {
         // Milestones are public progress: both sides observe all of them.
         self.a.observe_milestones(round, milestones);
         self.b.observe_milestones(round, milestones);
-    }
-}
-
-/// Crash-stop at a chosen round: passes the inner adversary's envelopes
-/// through until round `round`, from which point the corrupted parties send
-/// nothing ever again.
-///
-/// Wrapped around [`ProxyAdversary::honest`](crate::ProxyAdversary::honest)
-/// this is the paper's *selective abort pattern*: corrupted parties
-/// participate honestly for a prefix of the execution and then go silent,
-/// which is exactly the adversarial choice fairness-to-full-security
-/// transformations quantify over.
-pub struct AbortAt {
-    inner: Box<dyn Adversary>,
-    round: usize,
-}
-
-impl AbortAt {
-    /// All corrupted parties crash at the start of `round` (their last sends
-    /// are the ones produced in round `round - 1`).
-    pub fn new(inner: Box<dyn Adversary>, round: usize) -> Self {
-        Self { inner, round }
-    }
-}
-
-impl std::fmt::Debug for AbortAt {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AbortAt")
-            .field("round", &self.round)
-            .finish_non_exhaustive()
-    }
-}
-
-impl Adversary for AbortAt {
-    fn corrupted(&self) -> &BTreeSet<PartyId> {
-        self.inner.corrupted()
-    }
-
-    fn on_round(
-        &mut self,
-        round: usize,
-        delivered: &BTreeMap<PartyId, Vec<Envelope>>,
-        ctx: &mut AdversaryCtx,
-    ) {
-        // The inner adversary keeps observing (proxied honest logic must
-        // stay in sync with the execution) but crashed parties' sends are
-        // suppressed.
-        for envelope in drain_inner(self.inner.as_mut(), round, delivered) {
-            if round >= self.round && self.inner.corrupted().contains(&envelope.from) {
-                continue;
-            }
-            ctx.send_as(envelope.from, envelope.to, envelope.payload);
-        }
-    }
-
-    fn observe_milestones(&mut self, round: usize, milestones: &[MilestoneEvent]) {
-        self.inner.observe_milestones(round, milestones);
-    }
-}
-
-/// Selective message withholding: the inner adversary's envelopes addressed
-/// to the selected recipients are silently dropped.
-///
-/// Wrapped around an honest proxy this models a corrupted party that
-/// participates fully except towards chosen victims — the attack that forces
-/// *selective* (non-unanimous) aborts.
-pub struct Withhold {
-    inner: Box<dyn Adversary>,
-    recipients: BTreeSet<PartyId>,
-}
-
-impl Withhold {
-    /// Drops every inner envelope addressed to a party in `recipients`.
-    pub fn new(inner: Box<dyn Adversary>, recipients: impl IntoIterator<Item = PartyId>) -> Self {
-        Self {
-            inner,
-            recipients: recipients.into_iter().collect(),
-        }
-    }
-}
-
-impl std::fmt::Debug for Withhold {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Withhold")
-            .field("recipients", &self.recipients)
-            .finish_non_exhaustive()
-    }
-}
-
-impl Adversary for Withhold {
-    fn corrupted(&self) -> &BTreeSet<PartyId> {
-        self.inner.corrupted()
-    }
-
-    fn on_round(
-        &mut self,
-        round: usize,
-        delivered: &BTreeMap<PartyId, Vec<Envelope>>,
-        ctx: &mut AdversaryCtx,
-    ) {
-        for envelope in drain_inner(self.inner.as_mut(), round, delivered) {
-            if self.recipients.contains(&envelope.to) {
-                continue;
-            }
-            ctx.send_as(envelope.from, envelope.to, envelope.payload);
-        }
-    }
-
-    fn observe_milestones(&mut self, round: usize, milestones: &[MilestoneEvent]) {
-        self.inner.observe_milestones(round, milestones);
-    }
-}
-
-/// Equivocation: selected victims receive a *tampered* copy of each message
-/// while everyone else receives the true one.
-///
-/// Two tampering modes exist:
-///
-/// * the default blunt mode XOR-s every payload byte with `0xA5` — length
-///   preserved, but the tampered copy usually fails to *parse*, so the
-///   victim aborts with a `Malformed` reason and the attack only exercises
-///   the parser;
-/// * the **framing-aware** mode ([`Equivocate::with_rewriter`]) delegates to
-///   a [`FrameRewriter`] that rewrites a *field* inside a decoded frame and
-///   re-encodes it — the tampered copy still parses, so the attack tests the
-///   protocol's *verification* (equivocation detection, equality tests) and
-///   a detecting protocol must answer with an identified abort, not a parse
-///   error. The per-protocol frame schemas live in `mpca-core`'s `frames`
-///   module; the `mpca-scenario` registry compiles them into rewriters.
-///
-/// Both modes are deterministic, so executions stay reproducible and the
-/// charged message sizes are unchanged. The `unchecked` negative-control
-/// protocol in `mpca-core` shows what happens without detection.
-pub struct Equivocate {
-    inner: Box<dyn Adversary>,
-    victims: BTreeSet<PartyId>,
-    rewriter: Option<FrameRewriter>,
-}
-
-/// The framing-aware tamper hook of [`Equivocate::with_rewriter`]: given an
-/// envelope addressed to a victim, returns the tampered payload, or `None`
-/// to pass the envelope through untouched (e.g. when the payload is not the
-/// targeted frame).
-pub type FrameRewriter = Box<dyn FnMut(&Envelope) -> Option<Payload> + Send>;
-
-impl Equivocate {
-    /// Tamper with every inner envelope addressed to a party in `victims`
-    /// (blunt byte-flip mode).
-    pub fn new(inner: Box<dyn Adversary>, victims: impl IntoIterator<Item = PartyId>) -> Self {
-        Self {
-            inner,
-            victims: victims.into_iter().collect(),
-            rewriter: None,
-        }
-    }
-
-    /// Framing-aware equivocation: envelopes addressed to `victims` are
-    /// rewritten by `rewriter`; a `None` from the rewriter passes the true
-    /// payload through (the frame was not a tamper target).
-    pub fn with_rewriter(
-        inner: Box<dyn Adversary>,
-        victims: impl IntoIterator<Item = PartyId>,
-        rewriter: impl FnMut(&Envelope) -> Option<Payload> + Send + 'static,
-    ) -> Self {
-        Self {
-            inner,
-            victims: victims.into_iter().collect(),
-            rewriter: Some(Box::new(rewriter)),
-        }
-    }
-
-    /// The deterministic byte-flip applied to victims' copies in blunt mode.
-    fn tamper(payload: &Payload) -> Payload {
-        Payload::from_vec(payload.iter().map(|b| b ^ 0xA5).collect())
-    }
-}
-
-impl std::fmt::Debug for Equivocate {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Equivocate")
-            .field("victims", &self.victims)
-            .finish_non_exhaustive()
-    }
-}
-
-impl Adversary for Equivocate {
-    fn corrupted(&self) -> &BTreeSet<PartyId> {
-        self.inner.corrupted()
-    }
-
-    fn on_round(
-        &mut self,
-        round: usize,
-        delivered: &BTreeMap<PartyId, Vec<Envelope>>,
-        ctx: &mut AdversaryCtx,
-    ) {
-        for envelope in drain_inner(self.inner.as_mut(), round, delivered) {
-            let payload = if self.victims.contains(&envelope.to) {
-                match &mut self.rewriter {
-                    Some(rewrite) => rewrite(&envelope).unwrap_or(envelope.payload),
-                    None => Self::tamper(&envelope.payload),
-                }
-            } else {
-                envelope.payload
-            };
-            ctx.send_as(envelope.from, envelope.to, payload);
-        }
-    }
-
-    fn observe_milestones(&mut self, round: usize, milestones: &[MilestoneEvent]) {
-        self.inner.observe_milestones(round, milestones);
     }
 }
 
@@ -496,11 +278,6 @@ impl TriggerWhen {
         self.observe_dormant = false;
         self
     }
-
-    /// `true` once the predicate has fired.
-    pub fn is_triggered(&self) -> bool {
-        self.triggered
-    }
 }
 
 impl std::fmt::Debug for TriggerWhen {
@@ -613,39 +390,6 @@ mod tests {
     }
 
     #[test]
-    fn abort_at_crashes_from_the_given_round() {
-        let mut adv = AbortAt::new(Scripted::new(&[0, 1], &[2], 7), 2);
-        assert_eq!(run_round(&mut adv, 0).len(), 2);
-        assert_eq!(run_round(&mut adv, 1).len(), 2);
-        assert!(run_round(&mut adv, 2).is_empty());
-        assert!(run_round(&mut adv, 5).is_empty());
-        assert_eq!(adv.corrupted().len(), 2);
-    }
-
-    #[test]
-    fn withhold_drops_only_selected_recipients() {
-        let mut adv = Withhold::new(Scripted::new(&[0], &[1, 2, 3], 7), [PartyId(2)]);
-        let out = run_round(&mut adv, 0);
-        assert_eq!(out.len(), 2);
-        assert!(out.iter().all(|e| e.to != PartyId(2)));
-    }
-
-    #[test]
-    fn equivocate_tampers_victims_copies_only() {
-        let mut adv = Equivocate::new(Scripted::new(&[0], &[1, 2], 0x0F), [PartyId(2)]);
-        let out = run_round(&mut adv, 0);
-        let to_1 = out.iter().find(|e| e.to == PartyId(1)).unwrap();
-        let to_2 = out.iter().find(|e| e.to == PartyId(2)).unwrap();
-        assert_eq!(to_1.payload, [0x0Fu8]);
-        assert_eq!(to_2.payload, [0x0Fu8 ^ 0xA5]);
-        assert_eq!(
-            to_1.payload.len(),
-            to_2.payload.len(),
-            "tampering must preserve the charged length"
-        );
-    }
-
-    #[test]
     fn flood_budget_respects_the_round_budget() {
         let mut adv =
             FloodBudget::new([PartyId(0)], [PartyId(1), PartyId(2)], 10).with_round_budget(2);
@@ -709,9 +453,7 @@ mod tests {
         let mut adv = TriggerWhen::new(Scripted::new(&[0], &[1], 9), |round, _| round == 2);
         assert!(run_round(&mut adv, 0).is_empty());
         assert!(run_round(&mut adv, 1).is_empty());
-        assert!(!adv.is_triggered());
         assert_eq!(run_round(&mut adv, 2).len(), 1);
-        assert!(adv.is_triggered());
         // Sticky: stays active even though the predicate no longer matches.
         assert_eq!(run_round(&mut adv, 3).len(), 1);
     }

@@ -46,10 +46,7 @@ pub mod stats;
 pub mod trace;
 
 pub use adversary::{Adversary, AdversaryCtx, NoAdversary, ProxyAdversary, SilentAdversary};
-pub use combinators::{
-    sample_corruption, AbortAt, Compose, Equivocate, FloodBudget, FrameRewriter, TriggerPredicate,
-    TriggerWhen, Withhold,
-};
+pub use combinators::{sample_corruption, Compose, FloodBudget, TriggerPredicate, TriggerWhen};
 pub use crs::CommonRandomString;
 pub use envelope::Envelope;
 pub use error::NetError;

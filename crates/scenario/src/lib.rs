@@ -10,7 +10,9 @@
 //!
 //! * [`AdversarySpec`] — a declarative adversary class (silent, flooding
 //!   with budgets, crash-at-round, withholding, equivocating, triggered),
-//!   compiled on submission into the `mpca-net` adversary combinators;
+//!   compiled on submission into an `mpca-net` adversary: a proxy-based
+//!   class is one [`ProxyAdversary`](mpca_net::ProxyAdversary) with a
+//!   rewrite hook, the rest are the adversary combinators;
 //! * [`ScenarioPlan`] / [`Campaign`] — protocol choice (via the
 //!   [`ProtocolKind`](mpca_core::ProtocolKind) catalog), an `(n, h)` grid,
 //!   an execution path and a seed, expanding into concrete [`Scenario`]s

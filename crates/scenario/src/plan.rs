@@ -525,7 +525,7 @@ pub fn tiny_campaign(seed: u64) -> Campaign {
 
 /// The adversary classes the sweep cross-products against `kind`'s grid.
 ///
-/// Classes are per-family: the proxy-based combinators apply to every
+/// Classes are per-family: the proxy-based classes apply to every
 /// family, floods target the protocols whose parsing tolerates junk from
 /// unexpected senders without leaving the model (abort is always fine), and
 /// equivocation stays on the families whose detection — or deliberate lack

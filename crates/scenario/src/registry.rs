@@ -4,9 +4,10 @@
 //! [`Scenario`], [`ProtocolKind`]) and the execution stack: for each
 //! scenario it builds the protocol's parties through the `mpca-core`
 //! constructors, splits off the corrupted parties' logic for the
-//! proxy-based adversaries, compiles the adversary spec into `mpca-net`
-//! combinators, and wraps the finished simulator constructor in an
-//! `mpca-engine` [`SessionTask`]. Construction runs on whichever worker runs
+//! proxy-based adversaries, compiles the adversary spec (a proxy-based
+//! class becomes one [`ProxyAdversary`] whose rewrite hook drops or alters
+//! the honest envelopes; the rest become `mpca-net` combinators), and wraps
+//! the finished simulator constructor in an `mpca-engine` [`SessionTask`]. Construction runs on whichever worker runs
 //! the task, so keygen and input encryption are part of the parallelised
 //! work.
 
@@ -19,9 +20,8 @@ use mpca_core::{
 use mpca_encfunc::Functionality;
 use mpca_engine::{ExecutionBackend, SessionTask};
 use mpca_net::{
-    AbortAt, Adversary, CommonRandomString, Compose, Envelope, Equivocate, FloodBudget, NetError,
-    NoAdversary, PartyId, PartyLogic, Payload, ProxyAdversary, SilentAdversary, SimConfig,
-    Simulator, TriggerWhen, Withhold,
+    Adversary, CommonRandomString, Compose, Envelope, FloodBudget, NetError, NoAdversary, PartyId,
+    PartyLogic, Payload, ProxyAdversary, SilentAdversary, SimConfig, Simulator, TriggerWhen,
 };
 
 use crate::plan::Scenario;
@@ -217,11 +217,12 @@ struct CompileCtx<'a> {
     all_corrupted: &'a BTreeSet<PartyId>,
 }
 
-/// Compiles a declarative spec into live `mpca-net` combinators.
+/// Compiles a declarative spec into a live `mpca-net` adversary.
 ///
 /// `corrupt_logic` is the honest protocol logic of the corrupted parties
-/// (consumed by the proxy-based variants; dropped by the rest — silent
-/// parties simply never run).
+/// (consumed by the proxy-based variants, each one [`ProxyAdversary`] with
+/// the class's rewrite hook; dropped by the rest — silent parties simply
+/// never run).
 fn compile_adversary<L>(
     spec: &AdversarySpec,
     ctx: &CompileCtx<'_>,
@@ -252,17 +253,36 @@ where
             Box::new(flood)
         }
         AdversarySpec::HonestProxy { .. } => Box::new(ProxyAdversary::honest(corrupt_logic, n)),
-        AdversarySpec::AbortAt { round, .. } => Box::new(AbortAt::new(
-            Box::new(ProxyAdversary::honest(corrupt_logic, n)),
-            *round,
-        )),
-        AdversarySpec::Withhold { recipients, .. } => Box::new(Withhold::new(
-            Box::new(ProxyAdversary::honest(corrupt_logic, n)),
-            to_ids(recipients, n),
-        )),
-        AdversarySpec::Equivocate { victims, .. } => Box::new(Equivocate::new(
-            Box::new(ProxyAdversary::honest(corrupt_logic, n)),
-            to_ids(victims, n),
+        AdversarySpec::AbortAt { round, .. } => {
+            // The selective abort pattern: honest sends before `round`, then
+            // the whole corruption set goes silent.
+            let round = *round;
+            Box::new(ProxyAdversary::new(corrupt_logic, n, move |r, envelope| {
+                if r < round {
+                    vec![envelope.clone()]
+                } else {
+                    Vec::new()
+                }
+            }))
+        }
+        AdversarySpec::Withhold { recipients, .. } => {
+            let recipients: BTreeSet<PartyId> = to_ids(recipients, n).into_iter().collect();
+            Box::new(ProxyAdversary::new(corrupt_logic, n, move |_, envelope| {
+                if recipients.contains(&envelope.to) {
+                    Vec::new()
+                } else {
+                    vec![envelope.clone()]
+                }
+            }))
+        }
+        AdversarySpec::Equivocate { victims, .. } => Box::new(ProxyAdversary::new(
+            corrupt_logic,
+            n,
+            // A length-preserving byte flip: the charged size is unchanged,
+            // but the copy usually fails to parse.
+            tamper_victims(victims, n, |payload| {
+                Payload::from_vec(payload.iter().map(|b| b ^ 0xA5).collect())
+            }),
         )),
         AdversarySpec::EquivocateFrame {
             victims,
@@ -270,42 +290,29 @@ where
             field,
             ..
         } => {
-            // The rewriter tampers exactly `field` inside frames matching
-            // `tag` under this protocol's schema; everything else passes
-            // through true — a tampered copy always re-parses, so the
-            // attack reaches verification, never the parser.
+            // Exactly `field` inside frames matching `tag` under this
+            // protocol's schema is rewritten; everything else passes through
+            // true — a tampered copy always re-parses, so the attack reaches
+            // verification, never the parser.
             let schema = FrameSchema::new(ctx.kind);
             let tag = tag.clone();
             let field = field.clone();
-            Box::new(Equivocate::with_rewriter(
-                Box::new(ProxyAdversary::honest(corrupt_logic, n)),
-                to_ids(victims, n),
-                move |envelope: &Envelope| {
+            Box::new(ProxyAdversary::new(
+                corrupt_logic,
+                n,
+                tamper_victims(victims, n, move |payload| {
                     schema
-                        .tamper(&envelope.payload, &tag, &field)
-                        .map(Payload::from_vec)
-                },
+                        .tamper(payload, &tag, &field)
+                        .map_or_else(|| payload.clone(), Payload::from_vec)
+                }),
             ))
         }
-        AdversarySpec::Triggered {
-            base,
-            trigger: TriggerSpec::AtMilestone(kind),
-        } => {
-            let wrapped = TriggerWhen::at_milestone(
-                compile_adversary(base, ctx, corrupted, corrupt_logic),
-                *kind,
-            );
-            Box::new(if base.needs_proxy_logic() {
-                wrapped
-            } else {
-                wrapped.without_dormant_observation()
-            })
-        }
         AdversarySpec::Triggered { base, trigger } => {
-            let wrapped = TriggerWhen::new(
-                compile_adversary(base, ctx, corrupted, corrupt_logic),
-                compile_trigger(trigger),
-            );
+            let inner = compile_adversary(base, ctx, corrupted, corrupt_logic);
+            let wrapped = match trigger {
+                TriggerSpec::AtMilestone(kind) => TriggerWhen::at_milestone(inner, *kind),
+                _ => TriggerWhen::new(inner, compile_trigger(trigger)),
+            };
             // Observation-free inners (floods, silents) are not driven while
             // dormant, so their budgets stay intact until the trigger fires;
             // proxy-based inners keep observing so their honest logic stays
@@ -329,6 +336,23 @@ where
                 compile_adversary(b, ctx, &b_set, b_logic),
             ))
         }
+    }
+}
+
+/// The equivocation hook: envelopes to `victims` carry `tamper`'s copy of
+/// the payload, everyone else's carry the true one.
+fn tamper_victims(
+    victims: &[usize],
+    n: usize,
+    mut tamper: impl FnMut(&Payload) -> Payload + Send + 'static,
+) -> impl FnMut(usize, &Envelope) -> Vec<Envelope> + Send + 'static {
+    let victims: BTreeSet<PartyId> = to_ids(victims, n).into_iter().collect();
+    move |_, envelope| {
+        let mut copy = envelope.clone();
+        if victims.contains(&copy.to) {
+            copy.payload = tamper(&copy.payload);
+        }
+        vec![copy]
     }
 }
 
@@ -360,9 +384,168 @@ fn compile_trigger(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cex::run_scenario_traced;
     use crate::plan::ScenarioPlan;
     use crate::spec::CorruptionSpec;
     use mpca_engine::{Sequential, SessionPool};
+    use mpca_net::{AdversaryCtx, PartyCtx, Step, TraceEvent};
+
+    /// Corrupted-party logic for checking the compiled hooks: sends `byte`
+    /// to every party in `to` each round and never terminates.
+    struct Scripted {
+        id: PartyId,
+        to: Vec<PartyId>,
+        byte: u8,
+    }
+
+    impl PartyLogic for Scripted {
+        type Output = ();
+        fn id(&self) -> PartyId {
+            self.id
+        }
+        fn on_round(&mut self, _: usize, _: &[Envelope], ctx: &mut PartyCtx) -> Step<()> {
+            for &to in &self.to {
+                ctx.send(to, vec![self.byte]);
+            }
+            Step::Continue
+        }
+    }
+
+    /// Compiles `spec` at n = 4 over scripted parties `corrupt`, each
+    /// sending `byte` to `to` every round.
+    fn compiled(
+        spec: &AdversarySpec,
+        corrupt: &[usize],
+        to: &[usize],
+        byte: u8,
+    ) -> Box<dyn Adversary> {
+        let corrupted: BTreeSet<PartyId> = to_ids(corrupt, 4).into_iter().collect();
+        let ctx = CompileCtx {
+            n: 4,
+            seed: 0,
+            label: "hook",
+            kind: ProtocolKind::UncheckedSum,
+            all_corrupted: &corrupted,
+        };
+        let logic = corrupted
+            .iter()
+            .map(|&id| Scripted {
+                id,
+                to: to_ids(to, 4),
+                byte,
+            })
+            .collect();
+        compile_adversary(spec, &ctx, &corrupted, logic)
+    }
+
+    fn run_round(adversary: &mut dyn Adversary, round: usize) -> Vec<Envelope> {
+        let mut ctx = AdversaryCtx::new();
+        adversary.on_round(round, &BTreeMap::new(), &mut ctx);
+        ctx.take_outgoing()
+    }
+
+    #[test]
+    fn abort_at_crashes_from_the_given_round() {
+        let spec = AdversarySpec::AbortAt {
+            corrupt: CorruptionSpec::Explicit(vec![0, 1]),
+            round: 2,
+        };
+        let mut adversary = compiled(&spec, &[0, 1], &[2], 7);
+        assert_eq!(run_round(adversary.as_mut(), 0).len(), 2);
+        assert_eq!(run_round(adversary.as_mut(), 1).len(), 2);
+        assert!(run_round(adversary.as_mut(), 2).is_empty());
+        assert!(run_round(adversary.as_mut(), 5).is_empty());
+        assert_eq!(adversary.corrupted().len(), 2);
+    }
+
+    #[test]
+    fn withhold_drops_only_selected_recipients() {
+        let spec = AdversarySpec::Withhold {
+            corrupt: CorruptionSpec::Explicit(vec![0]),
+            recipients: vec![2],
+        };
+        let out = run_round(compiled(&spec, &[0], &[1, 2, 3], 7).as_mut(), 0);
+        assert_eq!(out.len(), 2);
+        assert!(out.iter().all(|e| e.to != PartyId(2)));
+    }
+
+    #[test]
+    fn equivocate_tampers_victims_copies_only() {
+        let spec = AdversarySpec::Equivocate {
+            corrupt: CorruptionSpec::Explicit(vec![0]),
+            victims: vec![2],
+        };
+        let out = run_round(compiled(&spec, &[0], &[1, 2], 0x0F).as_mut(), 0);
+        let to_1 = out.iter().find(|e| e.to == PartyId(1)).unwrap();
+        let to_2 = out.iter().find(|e| e.to == PartyId(2)).unwrap();
+        assert_eq!(to_1.payload, [0x0Fu8]);
+        assert_eq!(to_2.payload, [0x0Fu8 ^ 0xA5]);
+        assert_eq!(
+            to_1.payload.len(),
+            to_2.payload.len(),
+            "tampering must preserve the charged length"
+        );
+    }
+
+    /// The injected sends of a traced, stream-retaining run of `scenario`.
+    fn injected_sends(scenario: &Scenario) -> Vec<(usize, PartyId, Payload)> {
+        let report = run_scenario_traced(scenario, Sequential).expect("runs");
+        let log = report.trace_log.expect("the stream is retained");
+        log.events()
+            .iter()
+            .filter_map(|event| match event {
+                TraceEvent::Send {
+                    round,
+                    to,
+                    payload,
+                    injected: true,
+                    ..
+                } => Some((*round, *to, payload.clone())),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn trigger_keeps_a_dormant_proxy_in_step_and_forwards_its_hook_once_armed() {
+        // Withholding from P1 behind an AtRound(1) trigger: nothing is
+        // injected before the trigger arms, and the armed hook still
+        // withholds P1's copies.
+        let base = AdversarySpec::Withhold {
+            corrupt: CorruptionSpec::Explicit(vec![0]),
+            recipients: vec![1],
+        };
+        let triggered = AdversarySpec::Triggered {
+            base: Box::new(base.clone()),
+            trigger: TriggerSpec::AtRound(1),
+        };
+        let plan = ScenarioPlan::new("trig", ProtocolKind::SuccinctAllToAll, triggered)
+            .with_grid([(10, 9)]);
+        let scenario = plan.scenarios().remove(0);
+        let sends = injected_sends(&scenario);
+        assert!(!sends.is_empty(), "the armed proxy sends");
+        assert!(
+            sends
+                .iter()
+                .all(|(round, to, _)| *round >= 1 && *to != PartyId(1)),
+            "injected sends before the trigger or to P1: {sends:?}"
+        );
+        // The dormant proxy stepped its honest logic through round 0, so its
+        // first armed round sends what the untriggered class sends then
+        // (same label, so same inputs and CRS).
+        let untriggered = injected_sends(&Scenario {
+            adversary: base,
+            ..scenario
+        });
+        let round_1 = |sends: &[(usize, PartyId, Payload)]| -> Vec<(PartyId, Payload)> {
+            sends
+                .iter()
+                .filter(|(round, _, _)| *round == 1)
+                .map(|(_, to, payload)| (*to, payload.clone()))
+                .collect()
+        };
+        assert_eq!(round_1(&sends), round_1(&untriggered));
+    }
 
     #[test]
     fn every_protocol_kind_submits_and_runs() {

@@ -85,8 +85,6 @@ pub struct SearchConfig {
     /// Total candidates to generate and execute (shrink re-executions are
     /// extra).
     pub budget: usize,
-    /// Candidates per pool batch.
-    pub batch: usize,
     /// Restrict grids to `n ≤ 12` (the CI slice).
     pub tiny: bool,
     /// Pool workers per batch.
@@ -96,12 +94,11 @@ pub struct SearchConfig {
 }
 
 impl SearchConfig {
-    /// The default search: 48 candidates in batches of 8.
+    /// The default search: 48 candidates.
     pub fn new(seed: u64) -> Self {
         Self {
             seed,
             budget: 48,
-            batch: 8,
             tiny: false,
             workers: 2,
             rig: None,
@@ -523,6 +520,9 @@ fn signature(kind: ProtocolKind, letters: &str, violated: &[&'static str]) -> St
     format!("{}|{letters}|{}", kind.name(), violated.join(","))
 }
 
+/// Candidates per pool batch.
+const BATCH: usize = 8;
+
 /// Executes `candidates` as one traced, stream-retaining pool batch.
 fn run_batch<B: ExecutionBackend>(
     candidates: &[Candidate],
@@ -546,7 +546,7 @@ fn run_batch<B: ExecutionBackend>(
 
 /// One shrink proposal: a strictly smaller candidate, or `None` when the
 /// reduction does not apply.
-type ShrinkOp = fn(&Candidate, tiny: bool) -> Option<Candidate>;
+type ShrinkOp = fn(&Candidate) -> Option<Candidate>;
 
 /// Applies `f` to the leaf spec under any `Triggered` wrappers (shrink
 /// never reaches inside `Both`; the sides-only ops handle those).
@@ -565,11 +565,11 @@ fn map_leaf(
     }
 }
 
-fn shrink_grid(candidate: &Candidate, tiny: bool) -> Option<Candidate> {
-    // Greedy: the smallest grid point the corruption count and target
-    // lists still fit.
+fn shrink_grid(candidate: &Candidate) -> Option<Candidate> {
+    // Greedy: the smallest tiny-grid point (`n ≤ 12`) the corruption count
+    // and target lists still fit.
     let corruption = candidate.adversary.corruption_count();
-    grid_points(candidate.kind, tiny)
+    grid_points(candidate.kind, true)
         .into_iter()
         .filter(|&(n, h)| n < candidate.n && corruption <= n - h)
         .map(|(n, h)| {
@@ -599,7 +599,7 @@ fn shrink_grid(candidate: &Candidate, tiny: bool) -> Option<Candidate> {
         .next()
 }
 
-fn shrink_corruption(candidate: &Candidate, _tiny: bool) -> Option<Candidate> {
+fn shrink_corruption(candidate: &Candidate) -> Option<Candidate> {
     let shrunk = map_leaf(&candidate.adversary, &|leaf| {
         let mut leaf = leaf.clone();
         let corrupt = match &mut leaf {
@@ -626,7 +626,7 @@ fn shrink_corruption(candidate: &Candidate, _tiny: bool) -> Option<Candidate> {
     })
 }
 
-fn shrink_junk(candidate: &Candidate, _tiny: bool) -> Option<Candidate> {
+fn shrink_junk(candidate: &Candidate) -> Option<Candidate> {
     let shrunk = map_leaf(&candidate.adversary, &|leaf| match leaf {
         AdversarySpec::Flood { junk_bytes, .. } if *junk_bytes >= 32 => {
             let mut leaf = leaf.clone();
@@ -643,7 +643,7 @@ fn shrink_junk(candidate: &Candidate, _tiny: bool) -> Option<Candidate> {
     })
 }
 
-fn shrink_round_budget(candidate: &Candidate, _tiny: bool) -> Option<Candidate> {
+fn shrink_round_budget(candidate: &Candidate) -> Option<Candidate> {
     let shrunk = map_leaf(&candidate.adversary, &|leaf| match leaf {
         AdversarySpec::Flood { round_budget, .. } if *round_budget != Some(1) => {
             let mut leaf = leaf.clone();
@@ -660,7 +660,7 @@ fn shrink_round_budget(candidate: &Candidate, _tiny: bool) -> Option<Candidate> 
     })
 }
 
-fn shrink_trigger(candidate: &Candidate, _tiny: bool) -> Option<Candidate> {
+fn shrink_trigger(candidate: &Candidate) -> Option<Candidate> {
     match &candidate.adversary {
         AdversarySpec::Triggered { base, .. } => Some(Candidate {
             adversary: (**base).clone(),
@@ -670,7 +670,7 @@ fn shrink_trigger(candidate: &Candidate, _tiny: bool) -> Option<Candidate> {
     }
 }
 
-fn shrink_victims(candidate: &Candidate, _tiny: bool) -> Option<Candidate> {
+fn shrink_victims(candidate: &Candidate) -> Option<Candidate> {
     let shrunk = map_leaf(&candidate.adversary, &|leaf| {
         let mut leaf = leaf.clone();
         let list = match &mut leaf {
@@ -692,7 +692,7 @@ fn shrink_victims(candidate: &Candidate, _tiny: bool) -> Option<Candidate> {
     })
 }
 
-fn shrink_both_side(candidate: &Candidate, _tiny: bool) -> Option<Candidate> {
+fn shrink_both_side(candidate: &Candidate) -> Option<Candidate> {
     match &candidate.adversary {
         AdversarySpec::Both { a, .. } => Some(Candidate {
             adversary: (**a).clone(),
@@ -738,7 +738,7 @@ fn shrink(
         for op in OPS {
             // Ops keep applying until they stop reducing (grid descent and
             // junk halving shrink repeatedly), each step re-verified.
-            while let Some(smaller) = op(&current, true) {
+            while let Some(smaller) = op(&current) {
                 if smaller == current {
                     break;
                 }
@@ -808,7 +808,7 @@ pub fn run_search<B: ExecutionBackend + Clone>(
         // must cover every class), then seeded mutants; duplicates by
         // canonical label are skipped, with bounded retries.
         let mut batch: Vec<Candidate> = Vec::new();
-        let batch_target = config.batch.min(config.budget - executed);
+        let batch_target = BATCH.min(config.budget - executed);
         let mut attempts = 0usize;
         while batch.len() < batch_target && attempts < batch_target * 16 {
             attempts += 1;
@@ -962,7 +962,6 @@ mod tests {
     fn search_is_deterministic_in_its_seed() {
         let config = SearchConfig {
             budget: 12,
-            batch: 6,
             ..SearchConfig::tiny(3)
         };
         let a = run_search(&config, Sequential).expect("search executes");

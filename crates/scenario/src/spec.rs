@@ -2,10 +2,11 @@
 //!
 //! An [`AdversarySpec`] is pure data — `Clone`, comparable, printable — that
 //! names an adversary *class* instead of holding a live attack object. The
-//! registry compiles a spec into concrete
-//! [`mpca_net::Adversary`] combinators when a scenario
-//! is submitted to the pool, which keeps plans serialisable-in-spirit and
-//! lets one spec run against every protocol in the catalog.
+//! registry compiles a spec into a concrete [`mpca_net::Adversary`] when a
+//! scenario is submitted to the pool (a proxy-based class into one
+//! [`ProxyAdversary`](mpca_net::ProxyAdversary) rewrite hook), which keeps
+//! plans serialisable-in-spirit and lets one spec run against every
+//! protocol in the catalog.
 
 use std::collections::BTreeSet;
 
@@ -96,9 +97,11 @@ impl TriggerSpec {
 ///
 /// The proxy-based variants ([`HonestProxy`](Self::HonestProxy),
 /// [`AbortAt`](Self::AbortAt), [`Withhold`](Self::Withhold),
-/// [`Equivocate`](Self::Equivocate)) run the **honest protocol logic** for
-/// every corrupted party and transform its envelopes, so one spec applies to
-/// any protocol without re-implementing the attack.
+/// [`Equivocate`](Self::Equivocate),
+/// [`EquivocateFrame`](Self::EquivocateFrame)) run the **honest protocol
+/// logic** for every corrupted party and pass its envelopes through one
+/// rewrite hook, so one spec applies to any protocol without
+/// re-implementing the attack.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AdversarySpec {
     /// No corruption: the all-honest baseline.

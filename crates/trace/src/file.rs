@@ -108,7 +108,8 @@ impl TraceFile {
         out
     }
 
-    /// Parses a rendered document. Every session line must carry all four
+    /// Parses a rendered document. The header must carry every field
+    /// [`render`](Self::render) writes, every session line all four of its
     /// fields, and their number must match the header's `sessions` count.
     ///
     /// # Errors
@@ -128,7 +129,7 @@ impl TraceFile {
         let campaign = text_of(&header, "campaign").ok_or("header lacks a campaign name")?;
         let seed = count_of(&header, "seed").ok_or("header lacks a seed")?;
         let count = count_of(&header, "sessions").ok_or("header lacks a session count")?;
-        let backend = text_of(&header, "backend").unwrap_or_else(|| "unknown".into());
+        let backend = text_of(&header, "backend").ok_or("header lacks a backend")?;
         let mut sessions = Vec::new();
         for line in lines {
             let record = Json::parse(line).map_err(|e| format!("session line {line}: {e}"))?;
@@ -272,6 +273,10 @@ mod tests {
         for (edit, broken) in [
             ("no event count", good.replace(",\"events\":1", "")),
             ("no milestone count", good.replace(",\"milestones\":0", "")),
+            (
+                "no backend",
+                good.replace(",\"backend\":\"sequential\"", ""),
+            ),
             (
                 "wrong session count",
                 good.replace("\"sessions\":1", "\"sessions\":2"),

@@ -11,7 +11,8 @@ use mpc_aborts::scenario::{
 
 fn main() {
     // A campaign is data: protocol choice, (n, h) grid, adversary class,
-    // seed. Attacks are composed from combinators, not re-implemented.
+    // seed. Attacks are composed from rewrite hooks and combinators, not
+    // re-implemented.
     let campaign = Campaign::new("lab")
         // Baseline: Theorem 1 MPC, everyone honest.
         .plan(

@@ -75,7 +75,9 @@ fn registry_phase_counters_reconcile_with_reports() {
 
     let mut expected = PhaseBytes::new();
     for outcome in &report.outcomes {
-        expected.merge(&outcome.report.phase_bytes);
+        for (phase, bytes) in outcome.report.phase_bytes.iter() {
+            expected.charge(phase, bytes);
+        }
     }
     for (i, phase) in Phase::ALL.into_iter().enumerate() {
         let after = Registry::global()

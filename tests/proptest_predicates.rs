@@ -132,7 +132,12 @@ fn assert_tagging_agrees(trace: &TaggedTrace, log: &TraceLog, what: &str) {
 /// `max` the largest cell of `report.phase_bytes`, a `max` ceiling holds
 /// and a `max - 1` ceiling is crossed.
 fn assert_phase_ceiling_is_tight(trace: &TaggedTrace, report: &SessionReport, what: &str) {
-    let max = report.phase_bytes.as_array().into_iter().max().unwrap_or(0);
+    let max = report
+        .phase_bytes
+        .iter()
+        .map(|(_, bytes)| bytes)
+        .max()
+        .unwrap_or(0);
     assert!(max > 0, "{what}: the run charged no bytes");
     let crossed = |limit: u64| {
         eval_set(&full_set(trace.kind, Some(limit)), trace)

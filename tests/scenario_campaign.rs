@@ -2,7 +2,7 @@
 //! everywhere except its rigged control, the oracle flags that control, and
 //! abort reasons are recorded structurally end-to-end.
 
-use mpc_aborts::engine::Parallel;
+use mpc_aborts::engine::{OutcomeDigest, Parallel};
 use mpc_aborts::net::{AbortReason, PartyId};
 use mpc_aborts::protocols::ProtocolKind;
 use mpc_aborts::scenario::{
@@ -73,13 +73,13 @@ fn silent_broadcast_sender_yields_identified_missing_message_aborts() {
     let outcome = &report.outcomes[0];
     assert_eq!(outcome.report.aborts().count(), 7, "all receivers abort");
     for id in 1..8 {
+        let digest = &outcome.report.outcomes[&PartyId(id)];
         assert!(
             matches!(
-                outcome.report.abort_reason_of(PartyId(id)),
-                Some(AbortReason::MissingMessage(_))
+                digest,
+                OutcomeDigest::Aborted(AbortReason::MissingMessage(_))
             ),
-            "party {id} must record a MissingMessage abort, got {:?}",
-            outcome.report.abort_reason_of(PartyId(id))
+            "party {id} must record a MissingMessage abort, got {digest:?}"
         );
     }
 }

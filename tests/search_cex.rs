@@ -16,7 +16,6 @@ use mpc_aborts::scenario::{run_search, Counterexample, Rig, SearchConfig};
 fn tiny_config(seed: u64) -> SearchConfig {
     SearchConfig {
         budget: 16,
-        batch: 8,
         ..SearchConfig::tiny(seed)
     }
 }
